@@ -41,16 +41,20 @@ from .par import (
     par_rotation_factories_linear_bound,
 )
 from .scenarios import (
+    PHYSICAL_LAYOUT,
     STRATEGY_GROUP_LABELS,
-    STRATEGY_LABELS,
     Scenario,
-    _eps_key,
-    _human_time,
-    _logical_dict,
+    check_epsilon_target,
     emit,
+    eps_key,
     load_presets,
+    logical_dict,
+    logical_table,
+    physical_cells,
+    physical_dict,
     reference_logical_report,
     run_scenario,
+    t_count_gaps,
 )
 from .surface_code import FTParams, physical_report
 from .trotter import estimate_error_constant
@@ -179,6 +183,7 @@ def _cmd_oracle_validate(args):
 
 
 def _logical_report_from_args(args):
+    check_epsilon_target(args.epsilon)
     pe = PhaseEstimationModel.preset(_PE_ALIASES[args.pe])
     synth = SynthesisModel.preset(_SYNTH_ALIASES[args.synthesis])
     combination = _COMBINATION_ALIASES[args.combination]
@@ -204,21 +209,11 @@ def _logical_report_from_args(args):
 
 
 def _cmd_logical(args):
-    report = _logical_report_from_args(args)
+    logical = logical_dict(_logical_report_from_args(args))
     if args.format == "markdown":
-        qubits = report.logical_qubits
-        lines = [
-            "| Input | T-Gates | Clifford Gates | Time | Log. Qubits |",
-            "| --- | --- | --- | --- | --- |",
-            f"| {STRATEGY_LABELS[report.strategy]} "
-            f"| {report.t_count:.1e} "
-            f"| {report.clifford_count:.1e} "
-            f"| {_human_time(report.wall_time)} "
-            f"| {qubits if qubits is not None else '--'} |",
-        ]
-        print("\n".join(lines))
+        print("\n".join(logical_table("Input", [logical])))
     else:
-        _print_json(_logical_dict(report))
+        _print_json(logical)
     return 0
 
 
@@ -254,36 +249,20 @@ def _cmd_nesting(args):
 
 
 def _physical_rows(report):
-    distances = ",".join(str(d) for d in report.code_distances[:-1]) or "--"
-    factories = report.rotation_factory_count
-    return {
-        "Required code distance": distances,
-        "Quantum processor": {
-            "Logical qubits": report.processor_logical_qubits,
-            "Physical qubits per logical qubit": report.qubits_per_logical,
-            "Total physical qubits for processor": report.processor_qubits,
-        },
-        "Discrete Rotation factories": {
-            "Number": factories,
-            "Physical qubits per factory":
-                report.qubits_per_logical if factories else None,
-            "Total physical qubits for rotations":
-                report.rotation_factory_qubits if factories else None,
-        },
-        "T factories": {
-            "Number": report.t_factory_count,
-            "Physical qubits per factory": report.qubits_per_t_factory,
-            "Total physical qubits for T factories": report.t_factory_qubits,
-        },
-        "Total physical qubits": report.total_physical_qubits,
-    }
+    """The fault-tolerance table column of one report, nested by group."""
+    rows = {}
+    for (group, label, *_), value in zip(
+        PHYSICAL_LAYOUT, physical_cells(physical_dict(report))
+    ):
+        (rows if group is None else rows.setdefault(group, {}))[label] = value
+    return rows
 
 
 def _physical_reference_check(presets, scenario_key, strategy, p, report):
     """Compare one computed column against the published cell, if any."""
     structures = presets["structures"]
     table = structures.get("struct-1", {}).get("reference_fault_tolerance", {})
-    cell = table.get(scenario_key, {}).get(strategy, {}).get(_eps_key(p))
+    cell = table.get(scenario_key, {}).get(strategy, {}).get(eps_key(p))
     if cell is None:
         return [], []
     warnings, failures = [], []
@@ -351,27 +330,13 @@ def _cmd_physical(args):
 
 def _tolerance_failures(bundle, presets):
     """Computed-vs-published T-count gaps beyond the documented factor."""
-    failures = []
-    structure = bundle.scenario.structure
-    if structure is None:
-        return failures
-    reference = presets["structures"][structure].get("reference_logical", {})
-    seen = set()
-    for point in bundle.points:
-        key = (_eps_key(point.epsilon), point.strategy)
-        if key in seen:
-            continue
-        seen.add(key)
-        cell = reference.get(key[0], {}).get(point.strategy)
-        if cell is None:
-            continue
-        ratio = point.logical.t_count / float(cell["t_gates"])
-        if not 1 / _T_COUNT_FACTOR <= ratio <= _T_COUNT_FACTOR:
-            failures.append(
-                f"{point.strategy} at {key[0]}: computed T count off by "
-                f"{ratio:.2f}x (tolerance factor {_T_COUNT_FACTOR:g})"
-            )
-    return failures
+    return [
+        f"{strategy} at {key}: computed T count off by {ratio:.2f}x "
+        f"(tolerance factor {_T_COUNT_FACTOR:g})"
+        for key, strategy, _, _, ratio
+        in t_count_gaps(bundle.scenario, bundle.points, presets)
+        if not 1 / _T_COUNT_FACTOR <= ratio <= _T_COUNT_FACTOR
+    ]
 
 
 def _scenario_from_args(args):

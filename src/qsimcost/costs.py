@@ -17,7 +17,12 @@ The execution strategies differ only downstream of the rotation count:
 serial synthesizes rotations one by one with the average-cost line, nesting
 runs disjoint-support rotations concurrently with worst-case deterministic
 synthesis, and PAR trades T-count for wall time through cached-rotation
-cascades.
+cascades. Wall time follows from each schedule, with t the T count and tau
+the T-gate time: t * tau serially, t * tau / parallelism nested, and
+rotations * (expected cascade periods per rotation) * tau for PAR.
+evaluate_cost, strategy_report and with_t_count apply these identities
+through one helper, and the first two share one helper for the Clifford
+total (counted from a term list, else a calibrated ratio to the T count).
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "approx_optimal_budget",
     "optimize_budget",
     "strategy_report",
+    "with_t_count",
     "logical_qubit_count",
 ]
 
@@ -223,11 +229,15 @@ class LogicalCostReport:
     par_params: ParParams | None = None
 
 
+def _check_problem(m_terms, beta):
+    if not (math.isfinite(m_terms) and m_terms >= 1):
+        raise ValueError(f"m_terms must be finite and >= 1, got {m_terms}")
+    if not (math.isfinite(beta) and beta >= 1):
+        raise ValueError(f"beta must be finite and >= 1, got {beta}")
+
+
 def _core_counts(m_terms, budget, beta, pe):
-    if m_terms < 1:
-        raise ValueError(f"need at least one term, got {m_terms}")
-    if beta < 1:
-        raise ValueError(f"need beta >= 1, got {beta}")
+    _check_problem(m_terms, beta)
     steps = math.ceil(
         beta * math.sqrt(budget.epsilon_total / budget.epsilon2_trotter)
     )
@@ -240,10 +250,30 @@ def _core_counts(m_terms, budget, beta, pe):
     return steps, pe_reps, math.log2(log_arg)
 
 
-def evaluate_cost(m_terms, budget, beta, pe, synth, strategy="serial",
-                  n_spin_orbitals=None, clifford_per_step=None,
-                  t_gate_time=T_GATE_TIME):
+def _clifford_count(strategy, t_count, steps, pe_reps, clifford_per_step):
+    """(count, mode): counted from the term list when one is known, else
+    the strategy's calibrated Clifford-to-T ratio."""
+    if clifford_per_step is not None:
+        clifford = float(clifford_per_step.total_clifford) * steps * pe_reps
+        return clifford, "counted"
+    return CLIFFORD_T_RATIO[strategy] * t_count, "ratio_calibrated"
+
+
+def _wall_time(strategy, t_count, rotations, t_gate_time, parallelism=None,
+               par_params=None):
+    if strategy == "serial":
+        return t_count * t_gate_time
+    if strategy == "nesting":
+        return t_count * t_gate_time / parallelism
+    return rotations * par_factory_time_per_rotation(par_params) * t_gate_time
+
+
+def evaluate_cost(m_terms, budget, beta, pe, synth, n_spin_orbitals=None,
+                  clifford_per_step=None, t_gate_time=T_GATE_TIME):
     """Evaluate the logical cost formula at a fixed budget.
+
+    The report is the serial one: rotations run one after another with the
+    given synthesis line. strategy_report derives the other strategies.
 
     Args:
         m_terms: merged Hamiltonian term count M.
@@ -251,9 +281,6 @@ def evaluate_cost(m_terms, budget, beta, pe, synth, strategy="serial",
         beta: Trotter number at the full budget epsilon_total.
         pe: PhaseEstimationModel.
         synth: SynthesisModel for the per-rotation T line.
-        strategy: label recorded on the report; the serial wall-time
-            identity wall = t_count * t_gate_time is applied here, so use
-            strategy_report for nesting and PAR timing.
         n_spin_orbitals: register width for the logical-qubit count.
         clifford_per_step: CliffordStepCount from a real term list; when
             given, Clifford totals are counted rather than ratio-derived.
@@ -266,26 +293,23 @@ def evaluate_cost(m_terms, budget, beta, pe, synth, strategy="serial",
     rotations = 2.0 * m_terms * steps * pe_reps
     per_rotation = synth.t_per_rotation(bits)
     t_count = rotations * per_rotation
-    if clifford_per_step is not None:
-        clifford = float(clifford_per_step.total_clifford) * steps * pe_reps
-        clifford_mode = "counted"
-    else:
-        clifford = CLIFFORD_T_RATIO[strategy] * t_count
-        clifford_mode = "ratio_calibrated"
+    clifford, clifford_mode = _clifford_count(
+        "serial", t_count, steps, pe_reps, clifford_per_step
+    )
     qubits = (
         logical_qubit_count(n_spin_orbitals, "serial")
         if n_spin_orbitals is not None
         else None
     )
     return LogicalCostReport(
-        strategy=strategy,
+        strategy="serial",
         t_count=t_count,
         clifford_count=clifford,
         rotation_count=rotations,
         trotter_steps_per_unit_time=steps,
         pe_repetitions=pe_reps,
         logical_qubits=qubits,
-        wall_time=t_count * t_gate_time,
+        wall_time=_wall_time("serial", t_count, rotations, t_gate_time),
         budget=budget,
         m_terms=float(m_terms),
         pe=pe,
@@ -396,6 +420,7 @@ def optimize_budget(m_terms, epsilon_total, beta, pe, synth,
     """
     if epsilon_total <= 0:
         raise ValueError(f"epsilon_total must be positive, got {epsilon_total}")
+    _check_problem(m_terms, beta)
 
     def score(e1, e3):
         e2 = _e2_from_rule(epsilon_total, e1, e3, combination)
@@ -478,81 +503,68 @@ def strategy_report(base, strategy, parallelism=None, par_params=None,
     """
     bits = base.synthesis_bits
     rotations = base.rotation_count
-    steps = base.trotter_steps_per_unit_time
-    pe_reps = base.pe_repetitions
-    t_gate = base.t_gate_time
-
     if strategy == "serial":
         synth = SynthesisModel.preset("fallback_average")
         per_rotation = synth.t_per_rotation(bits)
-        t_count = rotations * per_rotation
-        wall = t_count * t_gate
-        qubits = (
-            logical_qubit_count(n_spin_orbitals, "serial")
-            if n_spin_orbitals
-            else base.logical_qubits
-        )
-        par_out = None
+        par_params = None
     elif strategy == "nesting":
         if parallelism is None or parallelism < 1:
             raise ValueError("nesting needs parallelism >= 1")
         synth = SynthesisModel.preset("deterministic_worst_case")
         per_rotation = synth.t_per_rotation(bits)
-        t_count = rotations * per_rotation
-        wall = t_count * t_gate / parallelism
-        qubits = (
-            logical_qubit_count(n_spin_orbitals, "nesting", parallelism)
-            if n_spin_orbitals
-            else None
-        )
-        par_out = None
+        par_params = None
     elif strategy == "par":
         if par_params is None:
             raise ValueError("par needs ParParams")
         synth = SynthesisModel.preset("deterministic_worst_case")
-        c_det = par_params.synthesis_cost
-        if c_det == 0:
-            c_det = math.ceil(synth.t_per_rotation(bits))
-            par_params = dataclasses.replace(par_params, synthesis_cost=c_det)
-        per_rotation = float(par_params.n_levels * c_det)
-        t_count = rotations * per_rotation
-        wall = rotations * par_factory_time_per_rotation(par_params) * t_gate
-        qubits = (
-            logical_qubit_count(
-                n_spin_orbitals, "par",
-                par_ancillas=par_rotation_factories(par_params),
+        if par_params.synthesis_cost == 0:
+            par_params = dataclasses.replace(
+                par_params, synthesis_cost=math.ceil(synth.t_per_rotation(bits))
             )
-            if n_spin_orbitals
-            else None
-        )
-        par_out = par_params
+        per_rotation = float(par_params.n_levels * par_params.synthesis_cost)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    if clifford_per_step is not None:
-        clifford = float(clifford_per_step.total_clifford) * steps * pe_reps
-        clifford_mode = "counted"
+    t_count = rotations * per_rotation
+    if n_spin_orbitals:
+        ancillas = par_rotation_factories(par_params) if par_params else None
+        qubits = logical_qubit_count(
+            n_spin_orbitals, strategy, parallelism, ancillas
+        )
     else:
-        clifford = CLIFFORD_T_RATIO[strategy] * t_count
-        clifford_mode = "ratio_calibrated"
-
-    return LogicalCostReport(
+        qubits = base.logical_qubits if strategy == "serial" else None
+    clifford, clifford_mode = _clifford_count(
+        strategy, t_count, base.trotter_steps_per_unit_time,
+        base.pe_repetitions, clifford_per_step,
+    )
+    return dataclasses.replace(
+        base,
         strategy=strategy,
         t_count=t_count,
         clifford_count=clifford,
-        rotation_count=rotations,
-        trotter_steps_per_unit_time=steps,
-        pe_repetitions=pe_reps,
         logical_qubits=qubits,
-        wall_time=wall,
-        budget=base.budget,
-        m_terms=base.m_terms,
-        pe=base.pe,
+        wall_time=_wall_time(
+            strategy, t_count, rotations, base.t_gate_time, parallelism,
+            par_params,
+        ),
         synthesis=synth,
-        synthesis_bits=bits,
         t_per_rotation=per_rotation,
         clifford_mode=clifford_mode,
-        t_gate_time=t_gate,
         parallelism=parallelism,
-        par_params=par_out,
+        par_params=par_params,
+    )
+
+
+def with_t_count(report, t_count):
+    """The report moved to another total T count at the same per-rotation
+    cost; rotation count and wall time follow the strategy's identities."""
+    rotations = t_count / report.t_per_rotation
+    return dataclasses.replace(
+        report,
+        t_count=t_count,
+        rotation_count=rotations,
+        wall_time=_wall_time(
+            report.strategy, t_count, rotations, report.t_gate_time,
+            report.parallelism, report.par_params,
+        ),
     )

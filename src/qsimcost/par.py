@@ -67,9 +67,14 @@ def par_expected_rotations(params):
     """Expected rotations performed out of the cached batch.
 
     E[min(Geometric(2^-n), M)] = 2^n (1 - (1 - 2^-n)^M).
+
+    Where 1 - 2^-n rounds to 1 the power is taken through expm1, and once
+    2^-n underflows the value is its large-n limit M.
     """
     p_fail = 2.0 ** -params.n_levels
     m = params.rotations_cached
+    if 1.0 - p_fail == 1.0:
+        return -math.expm1(-m * p_fail) / p_fail if p_fail else float(m)
     return (1.0 - (1.0 - p_fail) ** m) / p_fail
 
 
@@ -82,15 +87,17 @@ def par_factory_time_per_rotation(params):
 
         sum_{k=1..n} k 2^-k + 2^-n (n + C)
         = (2 - (n+2)/2^n) + (C+n)/2^n.
+
+    The 2^-n scalings underflow to 0 for large n, leaving the limit 2.
     """
     n = params.n_levels
     c = params.synthesis_cost
-    return (2.0 - (n + 2.0) / 2.0**n) + (c + n) / 2.0**n
+    return (2.0 - math.ldexp(n + 2.0, -n)) + math.ldexp(c + n, -n)
 
 
 def par_factory_time_no_feed_forward(params):
     """Expected synthesis periods when a hard failure is simply resynthesized."""
-    return params.synthesis_cost / 2.0**params.n_levels
+    return math.ldexp(params.synthesis_cost, -params.n_levels)
 
 
 def par_rotation_factories(params):

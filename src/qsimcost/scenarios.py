@@ -8,6 +8,11 @@ reports, layers fault-tolerance reports on top, and returns a bundle in
 which every number carries a provenance tag: "reference" for published
 anchor values, "calibrated" for fitted model constants, "computed" for
 pipeline outputs, "input" for caller choices.
+
+The module also owns the report layouts shared by emit and the CLI: the
+logical markdown table (logical_table), the fault-tolerance table
+(PHYSICAL_LAYOUT and physical_cells), and the walk over computed-vs-published
+T counts (t_count_gaps).
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import dataclasses
 import importlib.resources
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 from .costs import (
     PhaseEstimationModel,
@@ -24,20 +28,30 @@ from .costs import (
     evaluate_cost,
     optimize_budget,
     strategy_report,
+    with_t_count,
 )
 from .hamiltonian import clifford_count_per_step, enumerate_terms, parse_fcidump
-from .par import ParParams, nesting_parallelism, par_factory_time_per_rotation
+from .par import ParParams, nesting_parallelism
 from .surface_code import FTParams, physical_report
 from .trotter import estimate_error_constant
 
 __all__ = [
+    "PHYSICAL_LAYOUT",
     "GridPoint",
     "Scenario",
     "ScenarioBundle",
+    "check_epsilon_target",
     "emit",
+    "eps_key",
+    "human_time",
     "load_presets",
+    "logical_dict",
+    "logical_table",
+    "physical_cells",
+    "physical_dict",
     "reference_logical_report",
     "run_scenario",
+    "t_count_gaps",
 ]
 
 STRATEGY_LABELS = {"serial": "Serial", "nesting": "Nesting", "par": "PAR"}
@@ -53,6 +67,30 @@ _ACCURACY_TITLES = {
 }
 # exhaustive triple sums grow as M^3; past this cap use stratified sampling
 _EXHAUSTIVE_TERM_CAP = 400
+# fault-tolerance table rows: (group, label, field of physical_dict,
+# scientific format, rotation-factory only); group None is a top-level row.
+# "code_distances" lists the distillation rounds, not the processor distance.
+PHYSICAL_LAYOUT = (
+    (None, "Required code distance", "code_distances", False, False),
+    ("Quantum processor", "Logical qubits", "processor_logical_qubits",
+     False, False),
+    ("Quantum processor", "Physical qubits per logical qubit",
+     "qubits_per_logical", False, False),
+    ("Quantum processor", "Total physical qubits for processor",
+     "processor_qubits", True, False),
+    ("Discrete Rotation factories", "Number", "rotation_factory_count",
+     False, False),
+    ("Discrete Rotation factories", "Physical qubits per factory",
+     "qubits_per_logical", False, True),
+    ("Discrete Rotation factories", "Total physical qubits for rotations",
+     "rotation_factory_qubits", True, True),
+    ("T factories", "Number", "t_factory_count", False, False),
+    ("T factories", "Physical qubits per factory", "qubits_per_t_factory",
+     True, False),
+    ("T factories", "Total physical qubits for T factories",
+     "t_factory_qubits", True, False),
+    (None, "Total physical qubits", "total_physical_qubits", True, False),
+)
 
 
 def load_presets():
@@ -61,8 +99,15 @@ def load_presets():
     return json.loads(path.read_text())
 
 
-def _eps_key(epsilon):
+def eps_key(epsilon):
+    """The one-digit label of an accuracy target, e.g. "1e-04"."""
     return format(epsilon, ".0e")
+
+
+def check_epsilon_target(epsilon):
+    """Reject an accuracy target outside (0, 1) Hartree."""
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon target out of range: {epsilon}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,8 +165,7 @@ class Scenario:
         if not self.epsilon_targets:
             raise ValueError("scenario needs at least one epsilon target")
         for eps in self.epsilon_targets:
-            if not 0 < eps < 1:
-                raise ValueError(f"epsilon target out of range: {eps}")
+            check_epsilon_target(eps)
         for rate in self.error_rates:
             if not 0 < rate < 1:
                 raise ValueError(f"physical error rate out of range: {rate}")
@@ -188,7 +232,6 @@ def _resolve(scenario, presets):
             "parallelism": float(entry["nesting_parallelism"]),
             "par_params": ParParams(**entry["par"]),
             "clifford_per_step": None,
-            "reference": entry.get("reference_logical", {}),
             "provenance": {
                 "m_terms": "reference",
                 "n_spin_orbitals": "reference",
@@ -217,7 +260,6 @@ def _resolve(scenario, presets):
             "parallelism": max(1.0, nesting_parallelism(terms)),
             "par_params": ParParams(9, 1, 0),
             "clifford_per_step": clifford_count_per_step(terms),
-            "reference": {},
             "provenance": {
                 "m_terms": "computed",
                 "n_spin_orbitals": "computed",
@@ -239,7 +281,6 @@ def _resolve(scenario, presets):
         "parallelism": max(1.0, scenario.n_spin_orbitals / 4.0),
         "par_params": ParParams(9, 1, 0),
         "clifford_per_step": None,
-        "reference": {},
         "provenance": {
             "m_terms": "input",
             "n_spin_orbitals": "input",
@@ -271,7 +312,7 @@ def reference_logical_report(structure, strategy, epsilon=1e-4, presets=None):
     """
     presets = presets if presets is not None else load_presets()
     entry = presets["structures"][structure]
-    key = _eps_key(epsilon)
+    key = eps_key(epsilon)
     try:
         ref = entry["reference_logical"][key][strategy]
     except KeyError:
@@ -281,125 +322,92 @@ def reference_logical_report(structure, strategy, epsilon=1e-4, presets=None):
     scenario = Scenario(
         structure=structure, epsilon_targets=(epsilon,), strategies=(strategy,)
     )
-    resolved = _resolve(scenario, presets)
-    budget = optimize_budget(
-        resolved["m_terms"], epsilon, resolved["beta_of"](epsilon),
-        resolved["pe"], resolved["synth"], combination=scenario.combination,
-    )
-    base = evaluate_cost(
-        resolved["m_terms"], budget, resolved["beta_of"](epsilon),
-        resolved["pe"], resolved["synth"],
-        n_spin_orbitals=resolved["n_spin_orbitals"],
-    )
-    report = strategy_report(
-        base, strategy, n_spin_orbitals=resolved["n_spin_orbitals"],
-        **_strategy_kwargs(resolved, strategy),
-    )
-    t_count = float(ref["t_gates"])
-    rotations = t_count / report.t_per_rotation
-    if strategy == "serial":
-        wall = t_count * report.t_gate_time
-    elif strategy == "nesting":
-        wall = t_count * report.t_gate_time / report.parallelism
-    else:
-        wall = (
-            rotations
-            * par_factory_time_per_rotation(report.par_params)
-            * report.t_gate_time
-        )
+    (point,) = run_scenario(scenario, presets).points
     return dataclasses.replace(
-        report,
-        t_count=t_count,
+        with_t_count(point.logical, float(ref["t_gates"])),
         clifford_count=float(ref["clifford_gates"]),
-        rotation_count=rotations,
-        wall_time=wall,
         logical_qubits=int(ref["logical_qubits"]),
     )
 
 
-def _logical_warnings(resolved, points):
-    warnings = []
+def t_count_gaps(scenario, points, presets):
+    """Walk the computed-vs-published T counts of a structure scenario.
+
+    Each (epsilon, strategy) cell with a published row is visited once, at
+    its first point in grid order; other inputs have no published rows.
+
+    Yields:
+        (eps_key, strategy, computed T count, published T count, ratio).
+    """
+    if scenario.structure is None:
+        return
+    reference = presets["structures"][scenario.structure].get(
+        "reference_logical", {}
+    )
     seen = set()
     for point in points:
-        key = (_eps_key(point.epsilon), point.strategy)
+        key = (eps_key(point.epsilon), point.strategy)
         if key in seen:
             continue
         seen.add(key)
-        ref = resolved["reference"].get(key[0], {}).get(point.strategy)
-        if ref is None:
+        cell = reference.get(key[0], {}).get(point.strategy)
+        if cell is None:
             continue
-        ratio = point.logical.t_count / float(ref["t_gates"])
-        warnings.append(
-            f"{point.strategy} at {key[0]} Ha: computed T count "
-            f"{point.logical.t_count:.2e} is {ratio:.2f}x the published "
-            f"{float(ref['t_gates']):.1e} (tolerance-based comparison; "
-            "exact reproduction is out of scope)"
-        )
-    return warnings
+        published = float(cell["t_gates"])
+        computed = point.logical.t_count
+        yield key[0], point.strategy, computed, published, computed / published
 
 
-def run_scenario(scenario, presets=None, max_workers=4):
+def run_scenario(scenario, presets=None):
     """Run the full grid of a scenario and assemble a deterministic bundle.
 
-    Grid points are evaluated concurrently; assembly is an ordered merge
-    over (epsilon, strategy, error rate), so the output is independent of
-    scheduling. Results are deterministic given the scenario seed.
+    The error budget of each epsilon target is optimized first, then the
+    logical report of each (epsilon, strategy) cell is derived, then the
+    fault-tolerance report of each cell at each error rate, all in grid
+    order. Results are deterministic given the scenario seed.
     """
     presets = presets if presets is not None else load_presets()
     resolved = _resolve(scenario, presets)
     pe, synth = resolved["pe"], resolved["synth"]
-
-    def budget_for(eps):
-        return optimize_budget(
+    budgets = {
+        eps: optimize_budget(
             resolved["m_terms"], eps, resolved["beta_of"](eps), pe, synth,
             combination=scenario.combination,
         )
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        budgets = dict(
-            zip(scenario.epsilon_targets,
-                pool.map(budget_for, scenario.epsilon_targets))
+        for eps in scenario.epsilon_targets
+    }
+    cells = [
+        (eps, strategy)
+        for eps in scenario.epsilon_targets
+        for strategy in scenario.strategies
+    ]
+    logicals = {}
+    for eps, strategy in cells:
+        base = evaluate_cost(
+            resolved["m_terms"], budgets[eps], resolved["beta_of"](eps),
+            pe, synth, n_spin_orbitals=resolved["n_spin_orbitals"],
+            clifford_per_step=resolved["clifford_per_step"],
         )
-
-        def logical_for(cell):
-            eps, strategy = cell
-            base = evaluate_cost(
-                resolved["m_terms"], budgets[eps], resolved["beta_of"](eps),
-                pe, synth, n_spin_orbitals=resolved["n_spin_orbitals"],
-                clifford_per_step=resolved["clifford_per_step"],
-            )
-            return strategy_report(
-                base, strategy, n_spin_orbitals=resolved["n_spin_orbitals"],
-                clifford_per_step=resolved["clifford_per_step"],
-                **_strategy_kwargs(resolved, strategy),
-            )
-
-        cells = [
-            (eps, strategy)
-            for eps in scenario.epsilon_targets
-            for strategy in scenario.strategies
-        ]
-        logicals = dict(zip(cells, pool.map(logical_for, cells)))
-
-        def physical_for(job):
-            cell, rate = job
-            params = FTParams(p_clifford=rate, p_inject=scenario.p_inject)
-            return physical_report(logicals[cell], params)
-
-        jobs = [(cell, rate) for cell in cells for rate in scenario.error_rates]
-        physicals = dict(zip(jobs, pool.map(physical_for, jobs)))
-
+        logicals[eps, strategy] = strategy_report(
+            base, strategy, n_spin_orbitals=resolved["n_spin_orbitals"],
+            clifford_per_step=resolved["clifford_per_step"],
+            **_strategy_kwargs(resolved, strategy),
+        )
     points = []
-    for cell in cells:
-        eps, strategy = cell
-        if scenario.error_rates:
-            for rate in scenario.error_rates:
-                points.append(GridPoint(
-                    strategy, eps, rate, logicals[cell],
-                    physicals[(cell, rate)],
-                ))
-        else:
-            points.append(GridPoint(strategy, eps, None, logicals[cell], None))
+    for eps, strategy in cells:
+        logical = logicals[eps, strategy]
+        for rate in scenario.error_rates or (None,):
+            physical = None if rate is None else physical_report(
+                logical, FTParams(p_clifford=rate, p_inject=scenario.p_inject)
+            )
+            points.append(GridPoint(strategy, eps, rate, logical, physical))
+    warnings = tuple(
+        f"{strategy} at {key} Ha: computed T count {computed:.2e} is "
+        f"{ratio:.2f}x the published {published:.1e} (tolerance-based "
+        "comparison; exact reproduction is out of scope)"
+        for key, strategy, computed, published, ratio
+        in t_count_gaps(scenario, points, presets)
+    )
 
     parameters = {
         "m_terms": {
@@ -412,7 +420,7 @@ def run_scenario(scenario, presets=None, max_workers=4):
         },
         "beta": {
             "value": {
-                _eps_key(eps): resolved["beta_of"](eps)
+                eps_key(eps): resolved["beta_of"](eps)
                 for eps in scenario.epsilon_targets
             },
             "provenance": resolved["provenance"]["beta"],
@@ -490,7 +498,7 @@ def run_scenario(scenario, presets=None, max_workers=4):
         label=resolved["label"],
         parameters=parameters,
         points=tuple(points),
-        warnings=tuple(_logical_warnings(resolved, points)),
+        warnings=warnings,
         field_provenance=field_provenance,
         constants=constants,
     )
@@ -503,7 +511,8 @@ def _scenario_dict(scenario):
     return out
 
 
-def _logical_dict(report):
+def logical_dict(report):
+    """JSON-ready form of a LogicalCostReport."""
     budget = report.budget
     out = {
         "strategy": report.strategy,
@@ -543,7 +552,8 @@ def _logical_dict(report):
     return out
 
 
-def _physical_dict(report):
+def physical_dict(report):
+    """JSON-ready form of a PhysicalCostReport."""
     return {
         "code_distances": list(report.code_distances),
         "qubits_per_logical": report.qubits_per_logical,
@@ -573,9 +583,9 @@ def _bundle_dict(bundle):
             "strategy": point.strategy,
             "epsilon": point.epsilon,
             "error_rate": point.error_rate,
-            "logical": _logical_dict(point.logical),
+            "logical": logical_dict(point.logical),
             "physical": (
-                _physical_dict(point.physical)
+                physical_dict(point.physical)
                 if point.physical is not None else None
             ),
         })
@@ -614,7 +624,9 @@ def _check_provenance(data):
             raise ValueError(f"untagged constant {name!r} in report")
 
 
-def _human_time(seconds):
+def human_time(seconds):
+    """A duration in the largest of days, hours and minutes in which it
+    reads at least 2, else in seconds."""
     if seconds >= 2 * 86400:
         return f"{seconds / 86400:.3g} days"
     if seconds >= 2 * 3600:
@@ -624,113 +636,90 @@ def _human_time(seconds):
     return f"{seconds:.3g} seconds"
 
 
-def _accuracy_title(eps_key):
-    return _ACCURACY_TITLES.get(eps_key, f"Target accuracy {eps_key} Ha")
+def _accuracy_title(key):
+    return _ACCURACY_TITLES.get(key, f"Target accuracy {key} Ha")
+
+
+def _table_line(name, values):
+    return "| " + " | ".join([name] + [str(v) for v in values]) + " |"
+
+
+def logical_table(label, logicals):
+    """Markdown table of logical-report dicts (logical_dict), one row each."""
+    lines = [
+        _table_line(label, ("T-Gates", "Clifford Gates", "Time", "Log. Qubits")),
+        "| --- " * 5 + "|",
+    ]
+    for logical in logicals:
+        qubits = logical["logical_qubits"]
+        lines.append(_table_line(STRATEGY_LABELS[logical["strategy"]], (
+            f"{logical['t_count']:.1e}",
+            f"{logical['clifford_count']:.1e}",
+            human_time(logical["wall_time"]),
+            qubits if qubits is not None else "--",
+        )))
+    return lines
+
+
+def physical_cells(physical):
+    """One column of the fault-tolerance table, in PHYSICAL_LAYOUT order.
+
+    Takes a physical_dict. Rotation-factory cells are None in a column
+    without rotation factories.
+    """
+    cells = []
+    for _, _, field, _, rotation_only in PHYSICAL_LAYOUT:
+        if rotation_only and not physical["rotation_factory_count"]:
+            cells.append(None)
+        elif field == "code_distances":
+            rounds = physical["code_distances"][:-1]
+            cells.append(",".join(str(d) for d in rounds) or "--")
+        else:
+            cells.append(physical[field])
+    return cells
 
 
 def _markdown_logical(data):
     lines = []
-    label = data["label"]
-    seen = []
-    for row in data["rows"]:
-        key = _eps_key(row["epsilon"])
-        if key not in seen:
-            seen.append(key)
-    for key in seen:
-        lines.append(f"## {_accuracy_title(key)}")
-        lines.append("")
-        lines.append(
-            f"| {label} | T-Gates | Clifford Gates | Time | Log. Qubits |"
-        )
-        lines.append("| --- | --- | --- | --- | --- |")
-        done = set()
+    for key in dict.fromkeys(eps_key(row["epsilon"]) for row in data["rows"]):
+        # one row per strategy, though each repeats per error rate
+        logicals = {}
         for row in data["rows"]:
-            if _eps_key(row["epsilon"]) != key or row["strategy"] in done:
-                continue
-            done.add(row["strategy"])
-            logical = row["logical"]
-            qubits = logical["logical_qubits"]
-            lines.append(
-                f"| {STRATEGY_LABELS[row['strategy']]} "
-                f"| {logical['t_count']:.1e} "
-                f"| {logical['clifford_count']:.1e} "
-                f"| {_human_time(logical['wall_time'])} "
-                f"| {qubits if qubits is not None else '--'} |"
-            )
+            if eps_key(row["epsilon"]) == key:
+                logicals.setdefault(row["strategy"], row["logical"])
+        lines += [f"## {_accuracy_title(key)}", ""]
+        lines += logical_table(data["label"], logicals.values())
         lines.append("")
     return lines
 
 
 def _markdown_physical(data):
     physical_rows = [r for r in data["rows"] if r["physical"] is not None]
-    if not physical_rows:
-        return []
     lines = []
-    for key in dict.fromkeys(_eps_key(r["epsilon"]) for r in physical_rows):
-        rows = [r for r in physical_rows if _eps_key(r["epsilon"]) == key]
-        lines.append(f"## Fault-tolerant layout, {_accuracy_title(key)}")
-        lines.append("")
+    for key in dict.fromkeys(eps_key(r["epsilon"]) for r in physical_rows):
+        rows = [r for r in physical_rows if eps_key(r["epsilon"]) == key]
         headers = [
             f"{STRATEGY_GROUP_LABELS[r['strategy']]} {r['error_rate']:.0e}"
             for r in rows
         ]
-        cells = [r["physical"] for r in rows]
-
-        def line(name, values):
-            return "| " + " | ".join([name] + [str(v) for v in values]) + " |"
-
-        def sci(x):
-            return f"{x:.1e}"
-
-        lines.append(line("Error Rate", headers))
-        lines.append("| --- " * (len(rows) + 1) + "|")
-        lines.append(line(
-            "Required code distance",
-            [",".join(str(d) for d in c["code_distances"][:-1]) or "--"
-             for c in cells],
-        ))
-        lines.append(line("**Quantum processor**", [""] * len(rows)))
-        lines.append(line(
-            "Logical qubits", [c["processor_logical_qubits"] for c in cells]
-        ))
-        lines.append(line(
-            "Physical qubits per logical qubit",
-            [c["qubits_per_logical"] for c in cells],
-        ))
-        lines.append(line(
-            "Total physical qubits for processor",
-            [sci(c["processor_qubits"]) for c in cells],
-        ))
-        lines.append(line(
-            "**Discrete Rotation factories**", [""] * len(rows)
-        ))
-        lines.append(line(
-            "Number", [c["rotation_factory_count"] for c in cells]
-        ))
-        lines.append(line(
-            "Physical qubits per factory",
-            [c["qubits_per_logical"] if c["rotation_factory_count"] else "--"
-             for c in cells],
-        ))
-        lines.append(line(
-            "Total physical qubits for rotations",
-            [sci(c["rotation_factory_qubits"])
-             if c["rotation_factory_count"] else "--" for c in cells],
-        ))
-        lines.append(line("**T factories**", [""] * len(rows)))
-        lines.append(line("Number", [c["t_factory_count"] for c in cells]))
-        lines.append(line(
-            "Physical qubits per factory",
-            [sci(c["qubits_per_t_factory"]) for c in cells],
-        ))
-        lines.append(line(
-            "Total physical qubits for T factories",
-            [sci(c["t_factory_qubits"]) for c in cells],
-        ))
-        lines.append(line(
-            "Total physical qubits",
-            [sci(c["total_physical_qubits"]) for c in cells],
-        ))
+        lines += [
+            f"## Fault-tolerant layout, {_accuracy_title(key)}",
+            "",
+            _table_line("Error Rate", headers),
+            "| --- " * (len(rows) + 1) + "|",
+        ]
+        columns = [physical_cells(r["physical"]) for r in rows]
+        group = None
+        for (row_group, label, _, scientific, _), values in zip(
+            PHYSICAL_LAYOUT, zip(*columns)
+        ):
+            if row_group not in (None, group):
+                lines.append(_table_line(f"**{row_group}**", [""] * len(rows)))
+            group = row_group
+            lines.append(_table_line(label, [
+                "--" if v is None else f"{v:.1e}" if scientific else v
+                for v in values
+            ]))
         lines.append("")
     return lines
 

@@ -147,6 +147,56 @@ def test_par_closed_forms(capsys):
     assert "n_levels" in err
 
 
+def test_par_closed_forms_at_large_level_counts(capsys):
+    # 2^-n underflows: every cached rotation runs and the cascade time is 2
+    data = run_json(capsys, "par", "--n", "2000", "--c", "1")
+    assert data["expected_rotations"] == 1.0
+    assert data["factory_time_per_rotation"] == 2.0
+    assert data["factory_time_no_feed_forward"] == 0.0
+    # 1 - 2^-n rounds to 1 but 2^-n does not underflow
+    data = run_json(capsys, "par", "--n", "60", "--c", "1", "--cached", "100")
+    assert data["expected_rotations"] == pytest.approx(100.0, rel=1e-12)
+
+
+def test_logical_par_at_large_level_count(capsys):
+    data = run_json(
+        capsys, "logical", "--m", "6.1e6", "--beta", "166", "--epsilon",
+        "1e-4", "--strategy", "par", "--par-n", "2000",
+    )
+    assert data["wall_time"] == pytest.approx(
+        2.0 * data["rotation_count"] * data["t_gate_time"]
+    )
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("logical", "--m", "nan", "--beta", "166", "--epsilon", "1e-4"),
+     "m_terms"),
+    (("logical", "--m", "6.1e6", "--beta", "nan", "--epsilon", "1e-4"),
+     "beta"),
+    (("logical", "--m", "6.1e6", "--beta", "inf", "--epsilon", "1e-4"),
+     "beta"),
+    (("report", "--m", "1e6", "--n-spin-orbitals", "10", "--beta", "nan"),
+     "beta"),
+])
+def test_non_finite_problem_sizes_name_the_field(capsys, argv, field):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert field in err
+    assert "epsilon_total" not in err
+
+
+def test_logical_and_report_share_the_epsilon_range(capsys):
+    code, _, logical_err = run(
+        capsys, "logical", "--m", "6.1e6", "--beta", "166", "--epsilon", "2",
+    )
+    assert code == 2
+    code, _, report_err = run(
+        capsys, "report", "--structure", "struct-1", "--epsilons", "2",
+    )
+    assert code == 2
+    assert logical_err == report_err == "error: epsilon target out of range: 2.0\n"
+
+
 def test_nesting_analysis(capsys):
     data = run_json(capsys, "nesting", "--fcidump", H4)
     assert data["n_terms"] == 110
