@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import collections
 import json
+import math
 import sys
 
 import numpy as np
@@ -151,24 +152,32 @@ def _cmd_trotter_bound(args):
 
 
 def _cmd_oracle_validate(args):
+    for flag, t in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"{flag} must be finite and positive, got {t}")
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     terms = _load_terms(args)
     estimate = estimate_error_constant(terms)
+    t_top = max(args.t_min, args.t_max)
+    if not math.isfinite(estimate.value * (t_top * t_top)):
+        flag = "--t-max" if t_top == args.t_max else "--t-min"
+        raise ValueError(
+            f"{flag} {t_top:g} overflows h t^2 with h = {estimate.value:g}"
+        )
     ts = np.geomspace(args.t_min, args.t_max, args.points)
     rows = strang_error_scan(terms, ts)
-    violations = []
-    for row in rows:
-        if row.phase_wrapped:
-            continue
-        bound = estimate.value * row.t**2
-        if bound < row.delta_e:
-            violations.append({
-                "t": row.t, "bound": bound, "delta_e": row.delta_e,
-            })
+    bounds = [estimate.value * row.t**2 for row in rows]
+    violations = [
+        {"t": row.t, "bound": bound, "delta_e": row.delta_e}
+        for row, bound in zip(rows, bounds)
+        if not row.phase_wrapped and bound < row.delta_e
+    ]
     _print_json({
         "source": args.fcidump,
         "h_bound": estimate.value,
-        "rows": [dict(row.row(), bound=estimate.value * row.t**2)
-                 for row in rows],
+        "rows": [dict(row.row(), bound=bound)
+                 for row, bound in zip(rows, bounds)],
         "checked": sum(1 for row in rows if not row.phase_wrapped),
         "violations": violations,
     })

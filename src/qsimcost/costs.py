@@ -236,6 +236,15 @@ def _check_problem(m_terms, beta):
         raise ValueError(f"beta must be finite and >= 1, got {beta}")
 
 
+def _check_parallelism(parallelism):
+    if parallelism is None or not (
+        math.isfinite(parallelism) and parallelism >= 1
+    ):
+        raise ValueError(
+            f"nesting needs a finite parallelism >= 1, got {parallelism}"
+        )
+
+
 def _core_counts(m_terms, budget, beta, pe):
     _check_problem(m_terms, beta)
     steps = math.ceil(
@@ -470,12 +479,14 @@ def logical_qubit_count(n_spin_orbitals, strategy, parallelism=None,
     3 extra logical qubits, PAR carries 2 plus its rotation-factory block.
     """
     if n_spin_orbitals < 1:
-        raise ValueError(f"need a positive register, got {n_spin_orbitals}")
+        raise ValueError(
+            f"n_spin_orbitals must be a positive register width, got "
+            f"{n_spin_orbitals}"
+        )
     if strategy == "serial":
         return n_spin_orbitals + 3
     if strategy == "nesting":
-        if parallelism is None or parallelism < 1:
-            raise ValueError("nesting needs parallelism >= 1")
+        _check_parallelism(parallelism)
         return n_spin_orbitals + 3 + math.ceil(parallelism)
     if strategy == "par":
         if par_ancillas is None or par_ancillas < 0:
@@ -508,8 +519,7 @@ def strategy_report(base, strategy, parallelism=None, par_params=None,
         per_rotation = synth.t_per_rotation(bits)
         par_params = None
     elif strategy == "nesting":
-        if parallelism is None or parallelism < 1:
-            raise ValueError("nesting needs parallelism >= 1")
+        _check_parallelism(parallelism)
         synth = SynthesisModel.preset("deterministic_worst_case")
         per_rotation = synth.t_per_rotation(bits)
         par_params = None

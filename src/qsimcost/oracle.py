@@ -7,13 +7,19 @@ per-term exponentials, and energies come from full diagonalization. The
 intended use is validating the analytic error bounds and cost models on
 molecules small enough to solve outright.
 
+The Strang-step oracle narrows a particle sector further when it can: if
+every term also conserves Sz, the step unitary, its eigendecomposition and
+the overlap selection live in the Sz block that holds the sector's ground
+state (for H6 in 12 spin orbitals, 400 of the sector's 924 states).
+
 The register is capped (default 14 spin orbitals, a 16384-dimensional Fock
 space). Full-space dense work at the cap needs several GB; practical test
 sizes stay at or below 10 spin orbitals.
 
 Basis conventions match the term enumeration: spin orbital s (1-based) is
 bit s-1 of the basis-state integer, and an annihilation operator picks up
-the parity of the occupied orbitals below its target.
+the parity of the occupied orbitals below its target. Spin orbital 2p-1 is
+spin up and 2p spin down, so the up orbitals are the even bits.
 """
 
 from __future__ import annotations
@@ -51,6 +57,14 @@ def _check_cap(n_so, qubit_cap):
 
 def _popcount(values):
     return np.bitwise_count(values.astype(np.uint64)).astype(np.int64)
+
+
+_UP_BITS = np.int64(0x5555555555555555)  # spin orbitals 1, 3, 5, ...
+
+
+def _twice_sz(states):
+    """N_up - N_down of each basis state."""
+    return 2 * _popcount(states & _UP_BITS) - _popcount(states)
 
 
 class _TermAction:
@@ -239,8 +253,8 @@ class TrotterExactReport:
 
     Attributes:
         t: step size in inverse Hartree.
-        e_fci: exact ground energy in the evaluation sector (core
-            included), Hartree.
+        e_fci: exact ground energy in the evaluation sector or Sz block
+            (core included), Hartree.
         e_effective: eigenphase energy of the step unitary whose eigenvector
             best overlaps the exact ground state, core included.
         delta_e: abs(e_effective - e_fci), Hartree.
@@ -280,12 +294,33 @@ def _resolve_sector(terms, particle_sector):
     return particle_sector
 
 
+def _sz_blocks(actions, states):
+    """Positions of each Sz block of states, or None if a term flips spin."""
+    twice_sz = _twice_sz(states)
+    for action in actions:
+        if action.diagonal is None and np.any(
+            twice_sz[action.source] != twice_sz[action.target]
+        ):
+            return None
+    values = sorted(set(twice_sz.tolist()), key=lambda v: (abs(v), v))
+    return [np.nonzero(twice_sz == value)[0] for value in values]
+
+
+# ground energies of Sz blocks closer than this count as degenerate, so the
+# smaller |Sz| wins (Hartree)
+_DEGENERACY_TOL = 1e-10
+
+
 class _StrangEvaluator:
     """Shared precomputation for repeated step-unitary evaluations.
 
     Every term conserves particle number, so when a sector is given the
     whole evaluation runs inside that block of the Fock space and the
-    reference ground state is the sector ground state.
+    reference ground state is the sector ground state. When every term
+    also conserves Sz, the evaluation narrows to the Sz block holding the
+    sector's ground state: the block of lowest ground energy, ties going
+    to the smaller |Sz|. A term list with a spin-flip term keeps the whole
+    sector; particle_sector=None keeps the whole Fock space.
     """
 
     def __init__(self, terms, particle_sector="auto", qubit_cap=DEFAULT_QUBIT_CAP):
@@ -295,12 +330,19 @@ class _StrangEvaluator:
         self.terms = terms
         self.states = _basis_states(n_so, sector)
         self.actions = _actions(terms, self.states)
-        hamiltonian = build_matrix(
+        matrix = build_matrix(
             terms, particle_sector=sector, include_core=False, qubit_cap=qubit_cap
-        )
-        evals, evecs = np.linalg.eigh(hamiltonian.matrix)
-        self.e_fci_electronic = float(evals[0])
-        self.ground = evecs[:, 0]
+        ).matrix
+        blocks = None if sector is None else _sz_blocks(self.actions, self.states)
+        best = None
+        for positions in blocks or [np.arange(len(self.states))]:
+            evals, evecs = np.linalg.eigh(matrix[np.ix_(positions, positions)])
+            if best is None or evals[0] < best[0] - _DEGENERACY_TOL:
+                best = (float(evals[0]), evecs[:, 0], positions)
+        self.e_fci_electronic, self.ground, positions = best
+        if len(positions) < len(self.states):
+            self.states = self.states[positions]
+            self.actions = _actions(terms, self.states)
 
     def step_unitary(self, t):
         """One second-order step: forward half-products then their reverse.
@@ -363,7 +405,9 @@ def strang_effective_energy(terms, t, particle_sector="auto",
             abs(electronic energy) * t < pi, and the report flags the wrap.
         particle_sector: "auto" restricts to the term list's electron count
             when it is positive; None forces the full Fock space; an int
-            picks that sector.
+            picks that sector. Inside a sector, a term list that conserves
+            Sz is evaluated in the Sz block holding the sector's ground
+            state; one with a spin-flip term keeps the whole sector.
         qubit_cap: dense-space size limit.
 
     Returns:

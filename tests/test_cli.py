@@ -80,15 +80,36 @@ def test_trotter_bound_uniform_needs_samples(capsys):
 
 
 def test_oracle_validate_bound_holds(capsys):
-    data = run_json(
-        capsys, "oracle-validate", "--fcidump", H2, "--points", "6", "--strict"
-    )
-    assert data["violations"] == []
-    assert data["checked"] >= 1
-    for row in data["rows"]:
-        assert set(row) >= {"t", "e_fci", "e_effective", "delta_e", "bound"}
-        if not row["phase_wrapped"]:
-            assert row["bound"] >= row["delta_e"]
+    # H2 on a short grid; h4_chain (a 36-state Sz block) on the default one
+    for argv in ((H2, "--points", "6"), (H4,)):
+        data = run_json(
+            capsys, "oracle-validate", "--fcidump", *argv, "--strict"
+        )
+        assert data["violations"] == []
+        assert data["checked"] >= 1
+        for row in data["rows"]:
+            assert set(row) >= {"t", "e_fci", "e_effective", "delta_e", "bound"}
+            if not row["phase_wrapped"]:
+                assert row["bound"] >= row["delta_e"]
+    assert data["checked"] == 20
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--t-max", "inf"), "--t-max"),
+    (("--t-max", "nan"), "--t-max"),
+    (("--t-min", "nan"), "--t-min"),
+    (("--t-min", "0"), "--t-min"),
+    (("--t-min=-1e-3",), "--t-min"),
+    (("--t-max", "1e300"), "--t-max"),
+    (("--t-min", "1e300"), "--t-min"),
+    (("--points", "0"), "--points"),
+    (("--points", "-2"), "--points"),
+])
+def test_oracle_validate_rejects_bad_step_grid(capsys, argv, flag):
+    code, out, err = run(capsys, "oracle-validate", "--fcidump", H2, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
 
 
 def test_logical_json_beats_documented_point(capsys):
@@ -177,10 +198,18 @@ def test_logical_par_at_large_level_count(capsys):
      "beta"),
     (("report", "--m", "1e6", "--n-spin-orbitals", "10", "--beta", "nan"),
      "beta"),
+    (("report", "--m", "1e6", "--n-spin-orbitals", "0", "--beta", "10"),
+     "n_spin_orbitals"),
+    *[
+        (("logical", "--m", "6.1e6", "--beta", "166", "--epsilon", "1e-4",
+          "--strategy", "nesting", f"--parallelism={value}"), "parallelism")
+        for value in ("nan", "inf", "-inf", "0.5")
+    ],
 ])
 def test_non_finite_problem_sizes_name_the_field(capsys, argv, field):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert field in err
     assert "epsilon_total" not in err
 

@@ -10,8 +10,10 @@ from qsimcost import (
     build_matrix,
     empirical_trotter_number,
     enumerate_terms,
+    export_terms,
     hartree_fock_overlap,
     load_molecule,
+    parse_terms,
     strang_effective_energy,
     strang_error_scan,
     term_matrix,
@@ -228,14 +230,53 @@ def test_step_unitary_matches_expm_product(name):
         assert np.max(np.abs(fast - slow)) < 1e-12
 
 
-def test_sector_and_full_space_reports_agree_when_ground_coincides():
-    # the h2 global ground lives in the 2-electron sector, so both
-    # evaluations must select the same eigenphase
-    terms = molecule_terms("h2_sto3g")
+@pytest.mark.parametrize("name", ["h2_sto3g", "h4_chain"])
+def test_sector_and_full_space_reports_agree_when_ground_coincides(name):
+    # both global grounds live in the Sz = 0 block of the neutral sector,
+    # so the block and full-space evaluations select the same eigenphase
+    terms = molecule_terms(name)
     restricted = strang_effective_energy(terms, 0.1)
     full = strang_effective_energy(terms, 0.1, particle_sector=None)
     assert restricted.e_fci == pytest.approx(full.e_fci, abs=1e-12)
     assert restricted.delta_e == pytest.approx(full.delta_e, abs=1e-10)
+
+
+def test_evaluator_narrows_sector_to_ground_sz_block():
+    from qsimcost.oracle import _StrangEvaluator
+
+    terms = molecule_terms("h4_chain")
+    evaluator = _StrangEvaluator(terms)
+    # 2 up and 2 down electrons in 4 spatial orbitals, not the 70 states
+    # of the 4-electron sector
+    assert len(evaluator.states) == math.comb(4, 2) ** 2 == 36
+    up = sum(bin(int(s) & 0x55).count("1") for s in evaluator.states)
+    assert up == 2 * len(evaluator.states)
+    assert evaluator.e_fci_electronic + terms.core_energy == pytest.approx(
+        FCI_ENERGY["h4_chain"], abs=1e-8
+    )
+
+
+def test_spin_flip_term_keeps_the_whole_sector():
+    # a PQ term between spin orbitals 1 (up) and 2 (down) breaks Sz
+    # conservation, so the evaluator falls back to the particle sector
+    from qsimcost.oracle import _StrangEvaluator
+
+    base = molecule_terms("h2_sto3g")
+    lines = export_terms(base).splitlines()
+    assert lines[0].startswith("PP 1 ")
+    lines.insert(1, "PQ 1 2 0.05")
+    terms = parse_terms(
+        "\n".join(lines),
+        n_spin_orbitals=base.n_spin_orbitals,
+        n_electrons=base.n_electrons,
+        core_energy=base.core_energy,
+    )
+    assert len(_StrangEvaluator(terms).states) == math.comb(4, 2)
+    for t in (0.2, 0.05):
+        restricted = strang_effective_energy(terms, t)
+        full = strang_effective_energy(terms, t, particle_sector=None)
+        assert restricted.e_fci == pytest.approx(full.e_fci, abs=1e-12)
+        assert restricted.delta_e == pytest.approx(full.delta_e, abs=1e-10)
 
 
 def test_effective_energy_error_is_second_order():
