@@ -65,7 +65,10 @@ _ACCURACY_TITLES = {
     "1e-04": "Quantitatively accurate simulation (0.1 mHa)",
     "1e-03": "Qualitatively accurate simulation (1 mHa)",
 }
-# exhaustive triple sums grow as M^3; past this cap use stratified sampling
+# the exhaustive h sum costs O(M^3) time (about 0.5 s at M = 498 on one
+# core) and O(M^2) memory; above this many terms h is sampled by strata.
+# H6 (498 terms) and larger chains stay sampled, so their reports carry a
+# standard error and keep the frozen perfbench fcidump-sampled outputs.
 _EXHAUSTIVE_TERM_CAP = 400
 # fault-tolerance table rows: (group, label, field of physical_dict,
 # scientific format, rotation-factory only); group None is a top-level row.

@@ -26,10 +26,16 @@ is exactly zero):
     5. Jacobi: [a,[b,c]] = -[b,[c,a]] - [c,[a,b]]; if both right-hand
        triples are certified zero by rules 1-4, the left side is zero
 
-Exact evaluation enumerates every triple; the Monte Carlo estimators sample
-the triple population, stratified by the class signature (class_a, class_b,
-class_c) or uniformly. All estimators share one definition of the summand,
-so the exhaustive mode reproduces the deterministic sum exactly.
+Exact evaluation builds tables over term pairs once (the pair rules 1, 3
+and 4, the union of the two supports, and 4 n_x n_y) and walks the middle
+index b: the gate's first branch (a > b and c > b) is then the square slice
+[b+1:, b+1:] of those tables over (a, c), and rules 1-5 become broadcasts of
+row b against it, so no gated-out cell is evaluated and memory stays O(m^2).
+The second branch (b > a and c == a) is one band of m(m-1)/2 triples. The
+Monte Carlo estimators sample the triple population, stratified by the class
+signature (class_a, class_b, class_c) or uniformly. All estimators share one
+definition of the summand, so the exhaustive mode reproduces the
+deterministic sum up to summation order.
 """
 
 from __future__ import annotations
@@ -200,31 +206,57 @@ def _strata(arrays):
     return out
 
 
-def _exhaustive(arrays):
+def _gated_blocks(arrays):
+    """Yield (gamma, stratum) blocks that together hold every gated triple once.
+
+    gamma is the summand of each triple in the block (zero where a vanishing
+    rule holds); stratum is its class signature packed as
+    (class_a * k + class_b) * k + class_c with k = len(TERM_CLASSES).
+    """
     m = arrays.m
+    k = len(TERM_CLASSES)
+    s = arrays.support
+    x = arrays.class_code.astype(np.intp)
     idx = np.arange(m)
-    b_grid, c_grid = np.meshgrid(idx, idx, indexing="ij")
-    b_flat = b_grid.ravel()
-    c_flat = c_grid.ravel()
-    per_class = {}
-    total = 0.0
-    for a in range(m):
-        gam = arrays.gamma(np.full(m * m, a), b_flat, c_flat)
-        total += float(gam.sum())
-        name_a = TERM_CLASSES[arrays.class_code[a]]
-        for stratum_bc in np.unique(
-            arrays.class_code[b_flat] * 8 + arrays.class_code[c_flat]
-        ):
-            sel = arrays.class_code[b_flat] * 8 + arrays.class_code[c_flat] == stratum_bc
-            contribution = float(gam[sel].sum())
-            if contribution:
-                key = (
-                    name_a,
-                    TERM_CLASSES[int(stratum_bc) // 8],
-                    TERM_CLASSES[int(stratum_bc) % 8],
-                )
-                per_class[key] = per_class.get(key, 0.0) + contribution
-    return total, per_class
+    inner = arrays._inner_zero(idx[:, None], idx[None, :])
+    union = s[:, None] | s[None, :]
+    weight = 4.0 * np.multiply.outer(arrays.norm, arrays.norm)
+    # second gate branch: the triples (a, b, a) with b > a
+    a_band, b_band = np.triu_indices(m, 1)
+    yield (
+        arrays.gamma(a_band, b_band, a_band),
+        (x[a_band] * k + x[b_band]) * k + x[a_band],
+    )
+    # first gate branch: at fixed b, rows a > b and columns c > b
+    for b in range(m - 1):
+        r = slice(b + 1, m)
+        inner_b = inner[b, r]
+        union_b = union[b, r]
+        zero = (
+            inner_b[None, :]  # [H_b, H_c] = 0
+            | ((s[r, None] & union_b[None, :]) == 0)  # a detached from b, c
+            | (  # Jacobi: [b, [c, a]] and [c, [a, b]] both certified zero
+                (inner[r, r] | ((s[b] & union[r, r]) == 0))
+                & (inner_b[:, None] | ((union_b[:, None] & s[None, r]) == 0))
+            )
+        )
+        yield (
+            np.where(zero, 0.0, arrays.norm[b] * weight[r, r]),
+            (x[r, None] * k + x[b]) * k + x[None, r],
+        )
+
+
+def _exhaustive(arrays):
+    k = len(TERM_CLASSES)
+    table = np.zeros(k**3)
+    for gamma, stratum in _gated_blocks(arrays):
+        table += np.bincount(stratum.ravel(), weights=gamma.ravel(), minlength=k**3)
+    per_class = {
+        tuple(TERM_CLASSES[i] for i in np.unravel_index(code, (k, k, k))):
+            float(table[code])
+        for code in np.flatnonzero(table)
+    }
+    return float(table.sum()), per_class
 
 
 def _stratified(arrays, samples_per_stratum, seed):
@@ -297,50 +329,49 @@ def estimate_error_constant(terms, method="exhaustive", samples_per_stratum=200,
             value=0.0, method=method, std_error=0.0, samples=0, population=0,
             per_stratum={}, seed=None,
         )
-    if method == "exhaustive":
-        value, per_class = _exhaustive(arrays)
-        return ErrorConstantEstimate(
-            value=value, method=method, std_error=0.0, samples=0,
-            population=arrays.m**3, per_stratum=per_class, seed=None,
+    # a norm near the float64 limit overflows 4 n_a n_b n_c; that is
+    # reported below as a non-finite h instead of a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "exhaustive":
+            value, per_stratum = _exhaustive(arrays)
+            std_error, drawn, seed = 0.0, 0, None
+        elif method == "stratified":
+            value, std_error, drawn, per_stratum = _stratified(
+                arrays, samples_per_stratum, seed
+            )
+        elif method == "uniform":
+            if not samples:
+                raise ValueError("uniform sampling needs an explicit sample count")
+            drawn = int(samples)
+            value, std_error = _uniform(arrays, drawn, seed)
+            per_stratum = {}
+        else:
+            raise ValueError(f"unknown method {method!r}")
+    if not (math.isfinite(value) and math.isfinite(std_error)):
+        raise ValueError(
+            f"error constant h overflows float64 (h = {value}, standard error "
+            f"{std_error}); the term norms are too large"
         )
-    if method == "stratified":
-        value, std_error, drawn, per_stratum = _stratified(
-            arrays, samples_per_stratum, seed
-        )
-        return ErrorConstantEstimate(
-            value=value, method=method, std_error=std_error, samples=drawn,
-            population=arrays.m**3, per_stratum=per_stratum, seed=seed,
-        )
-    if method == "uniform":
-        if not samples:
-            raise ValueError("uniform sampling needs an explicit sample count")
-        value, std_error = _uniform(arrays, int(samples), seed)
-        return ErrorConstantEstimate(
-            value=value, method=method, std_error=std_error, samples=int(samples),
-            population=arrays.m**3, per_stratum={}, seed=seed,
-        )
-    raise ValueError(f"unknown method {method!r}")
+    return ErrorConstantEstimate(
+        value=value, method=method, std_error=std_error, samples=drawn,
+        population=arrays.m**3, per_stratum=per_stratum, seed=seed,
+    )
 
 
 def sampling_variance(terms):
     """Exact population variance of the uniform-sampling summand.
 
-    Enumerates the full triple cube, so this is a desk-scale diagnostic for
-    calibrating sample counts.
+    Walks the same gated blocks as the exhaustive sum (triples outside the
+    gate are zeros of the population), so it costs O(m^3) time; a desk-scale
+    diagnostic for calibrating sample counts.
     """
     arrays = _TermArrays(terms)
-    m = arrays.m
-    idx = np.arange(m)
-    b_grid, c_grid = np.meshgrid(idx, idx, indexing="ij")
-    b_flat = b_grid.ravel()
-    c_flat = c_grid.ravel()
     total = 0.0
     total_sq = 0.0
-    for a in range(m):
-        gam = arrays.gamma(np.full(m * m, a), b_flat, c_flat)
-        total += float(gam.sum())
-        total_sq += float((gam * gam).sum())
-    population = m**3
+    for gamma, _ in _gated_blocks(arrays):
+        total += float(gamma.sum())
+        total_sq += float((gamma * gamma).sum())
+    population = arrays.m**3
     mean = total / population
     return total_sq / population - mean * mean
 

@@ -6,7 +6,7 @@ the package's term enumeration, matrix builder, or cost formulas:
 * ket-algebra Hamiltonian construction straight from spatial integrals
   (occupation-number vectors plus elementary creation/annihilation moves),
 * full configuration interaction energies and ground states from it,
-* an exhaustive triple-sum error-constant evaluator,
+* an exhaustive triple-sum error-constant evaluator, whole or per key,
 * a literal gate-sequence constructor for the Clifford cost model.
 
 Spin-orbital convention matches the package contract: spatial p (1-based)
@@ -138,8 +138,20 @@ def exhaustive_error_constant(norms, orders, nonzero_fn):
     nonzero_fn(a, b, c): whether the double commutator [a, [b, c]] survives.
     Returns the summed bound coefficient (the t^2 prefactor).
     """
+    partial = exhaustive_error_constant_by_key(
+        norms, nonzero_fn, lambda a, b, c: None
+    )
+    return partial.get(None, 0.0)
+
+
+def exhaustive_error_constant_by_key(norms, nonzero_fn, key_fn):
+    """The triple sum of exhaustive_error_constant split by key_fn(a, b, c).
+
+    Returns a dict key -> partial sum, holding only keys of surviving
+    triples.
+    """
     m = len(norms)
-    total = 0.0
+    partial = {}
     for a in range(m):
         for b in range(m):
             for c in range(m):
@@ -150,8 +162,11 @@ def exhaustive_error_constant(norms, orders, nonzero_fn):
                 else:
                     continue
                 if nonzero_fn(a, b, c):
-                    total += 4.0 * norms[a] * norms[b] * norms[c]
-    return total
+                    key = key_fn(a, b, c)
+                    partial[key] = (
+                        partial.get(key, 0.0) + 4.0 * norms[a] * norms[b] * norms[c]
+                    )
+    return partial
 
 
 def brute_force_interval_packing(supports):

@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import warnings
 
 import pytest
 
@@ -92,6 +93,23 @@ def test_oracle_validate_bound_holds(capsys):
             if not row["phase_wrapped"]:
                 assert row["bound"] >= row["delta_e"]
     assert data["checked"] == 20
+
+
+@pytest.mark.parametrize("command", ["trotter-bound", "report", "oracle-validate"])
+def test_overflowing_error_constant_is_named(tmp_path, capsys, command):
+    # one integral near the float64 limit overflows 4 n_a n_b n_c
+    source = _DATA.joinpath("h2_sto3g.fcidump").read_text()
+    path = tmp_path / "huge.fcidump"
+    path.write_text(source.replace(
+        "6.9739376735855618E-01    2    2    2    2",
+        "1.0E+300    2    2    2    2",
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--fcidump", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: error constant h overflows")
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qsimcost import (
     estimate_error_constant,
     load_molecule,
     nested_commutator_vanishes,
+    parse_fcidump,
     sampling_variance,
     term_matrix,
     trotter_number,
@@ -20,7 +22,12 @@ from qsimcost import (
 )
 from qsimcost.trotter import _outer_vanishes, _TermArrays
 
-from oracles import exhaustive_error_constant
+from oracles import exhaustive_error_constant, exhaustive_error_constant_by_key
+
+H5P_CHAIN = (
+    pathlib.Path(__file__).resolve().parents[1]
+    / "perfbench" / "fixtures" / "h5p_chain.fcidump"
+)
 
 # frozen exhaustive error constants of the bundled molecules (Hartree^3)
 H_EXACT = {
@@ -157,6 +164,46 @@ def test_exhaustive_matches_independent_triple_loop(name):
 def test_exhaustive_matches_frozen_value(name):
     estimate = estimate_error_constant(molecule_terms(name), method="exhaustive")
     assert estimate.value == pytest.approx(H_EXACT[name], abs=2e-9)
+
+
+def test_exhaustive_matches_frozen_h5_plus_chain():
+    # 249 terms, 15.4 M triples: past the sizes the scalar loop can check
+    terms = enumerate_terms(parse_fcidump(str(H5P_CHAIN)))
+    estimate = estimate_error_constant(terms, method="exhaustive")
+    assert terms.m == 249
+    assert estimate.population == 249**3
+    assert estimate.value == pytest.approx(26085.27074477814, rel=1e-12)
+
+
+def test_exhaustive_two_terms_by_hand():
+    # the only gated triples are (1, 0, 1) and, through the c == a branch,
+    # (0, 1, 0); neither is certified zero, so h = 4 n0 n1 (n0 + n1)
+    number = HamiltonianTerm("PP", (1,), 0.5, 0.5)
+    hop = HamiltonianTerm("PQ", (1, 2), 0.25, 0.25)
+    estimate = estimate_error_constant(
+        TermList(terms=(number, hop), n_spin_orbitals=2), method="exhaustive"
+    )
+    assert estimate.value == 0.375
+    assert estimate.per_stratum == {
+        ("PP", "PQ", "PP"): 0.25,
+        ("PQ", "PP", "PQ"): 0.125,
+    }
+
+
+@pytest.mark.parametrize("name", ["heh_plus", "h3_plus"])
+def test_per_stratum_matches_independent_triple_loop(name):
+    sequence = list(molecule_terms(name))
+    reference = exhaustive_error_constant_by_key(
+        [t.norm for t in sequence],
+        lambda a, b, c: not nested_commutator_vanishes(
+            sequence[a], sequence[b], sequence[c]
+        ),
+        lambda a, b, c: tuple(sequence[i].term_class for i in (a, b, c)),
+    )
+    estimate = estimate_error_constant(molecule_terms(name), method="exhaustive")
+    assert set(estimate.per_stratum) == set(reference)
+    for key, contribution in reference.items():
+        assert estimate.per_stratum[key] == pytest.approx(contribution, rel=1e-12)
 
 
 def test_per_stratum_contributions_sum_to_value():
