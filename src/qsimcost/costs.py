@@ -11,7 +11,9 @@ constant, beta the Trotter number at the full accuracy budget e, and
 of e allotted to phase estimation, Trotter truncation, and rotation
 synthesis. Two combination rules tie them to e: worst_case adds them
 linearly; variance adds the two unbiased-error components in quadrature
-before the systematic Trotter term.
+before the systematic Trotter term. optimize_budget picks the split by
+scoring whole grids of candidate splits as numpy arrays; evaluate_cost,
+which every report prints, stays scalar math.
 
 The execution strategies differ only downstream of the rotation count:
 serial synthesizes rotations one by one with the average-cost line, nesting
@@ -332,37 +334,18 @@ def evaluate_cost(m_terms, budget, beta, pe, synth, n_spin_orbitals=None,
 
 def evaluate_cost_smooth(m_terms, e1, e2, e3, epsilon_total, beta, pe, synth):
     """The cost formula without ceilings; used for optimization and
-    monotonicity analysis. Returns inf for infeasible components."""
-    if min(e1, e2, e3) <= 0:
-        return math.inf
-    steps = beta * math.sqrt(epsilon_total / e2)
-    log_arg = 2.0 * m_terms * steps / e3
-    if log_arg <= 1.0:
-        return math.inf
-    per_rotation = synth.t_per_rotation(math.log2(log_arg))
-    return 2.0 * m_terms * (pe.alpha / e1) * steps * per_rotation
-
-
-def _budget_or_none(epsilon_total, e1, e2, e3, combination):
-    try:
-        return ErrorBudget(
-            epsilon_total=epsilon_total,
-            epsilon1_pe=e1,
-            epsilon2_trotter=e2,
-            epsilon3_synth=e3,
-            combination=combination,
-        )
-    except ValueError:
-        return None
-
-
-def _true_cost(m_terms, budget, beta, pe, synth):
-    if budget is None:
-        return math.inf
-    try:
-        return evaluate_cost(m_terms, budget, beta, pe, synth).t_count
-    except ValueError:
-        return math.inf
+    monotonicity analysis. e1, e2, e3 broadcast as numpy arrays; the result
+    is inf where a component is <= 0 or the log argument is <= 1, and a
+    float for scalar input."""
+    e1, e2, e3 = (np.asarray(e, dtype=float) for e in (e1, e2, e3))
+    with np.errstate(all="ignore"):
+        steps = beta * np.sqrt(epsilon_total / e2)
+        log_arg = 2.0 * m_terms * steps / e3
+        per_rotation = synth.t_per_rotation(np.log2(log_arg))
+        cost = 2.0 * m_terms * (pe.alpha / e1) * steps * per_rotation
+    feasible = (e1 > 0) & (e2 > 0) & (e3 > 0) & (log_arg > 1.0)
+    cost = np.where(feasible, cost, math.inf)
+    return cost if cost.ndim else float(cost)
 
 
 def _e2_from_rule(epsilon_total, e1, e3, combination):
@@ -371,45 +354,68 @@ def _e2_from_rule(epsilon_total, e1, e3, combination):
     return epsilon_total - math.hypot(e1, e3)
 
 
+def _ceiled_t_counts(m_terms, epsilon_total, beta, pe, synth, combination,
+                     e1, e3):
+    """evaluate_cost's T count at each broadcast (e1, e3), e2 saturating the
+    combination rule; inf exactly where ErrorBudget or _core_counts would
+    reject the point (a saturated e2 meets the combined constraint)."""
+    with np.errstate(all="ignore"):
+        if combination == "worst_case":
+            e2 = epsilon_total - e1 - e3
+        else:
+            e2 = epsilon_total - np.hypot(e1, e3)
+        steps = np.ceil(beta * np.sqrt(epsilon_total / e2))
+        log_arg = 2.0 * m_terms * steps / e3
+        rotations = 2.0 * m_terms * steps * np.ceil(pe.alpha / e1)
+        t_count = rotations * synth.t_per_rotation(np.log2(log_arg))
+    valid = (e1 > 0) & (e2 > 0) & (e3 > 0) & (log_arg > 1.0)
+    return np.where(valid, t_count, math.inf)
+
+
+def _first_minimum(values):
+    """(value, index) of the first minimum in row-major order."""
+    index = np.unravel_index(np.argmin(values), values.shape)
+    return values[index], index
+
+
 def approx_optimal_budget(m_terms, epsilon_total, beta, pe, synth,
                           combination="worst_case", grid=120):
     """Closed-form-guided seed for the budget optimizer.
 
     For the worst_case rule the smooth cost with a constant synthesis term
     is stationary at e1 = 2 * e2, so the seed scans e3 and splits the
-    remainder that way. For the variance rule the seed is a coarse 2-D grid
-    minimum of the smooth cost. The budget constraint is saturated in both
-    cases since the cost is monotone decreasing in every component.
+    remainder that way, in one evaluate_cost_smooth call. For the variance
+    rule the seed is the first minimum of the smooth cost on a grid x grid
+    log grid over (e1, e3), scored 15 rows per call to keep the arrays
+    small. The budget constraint is saturated in both cases since the cost
+    is monotone decreasing in every component. Returns None if the seed
+    fails ErrorBudget validation.
     """
-    lo = epsilon_total * 1e-9
-    hi = epsilon_total * (1.0 - 1e-9)
-    best = (math.inf, None)
+    axis = np.geomspace(epsilon_total * 1e-9, epsilon_total * (1.0 - 1e-9),
+                        grid)
     if combination == "worst_case":
-        for e3 in np.geomspace(lo, hi, grid):
-            rest = epsilon_total - e3
-            if rest <= 0:
-                continue
-            e1, e2 = 2.0 * rest / 3.0, rest / 3.0
-            value = evaluate_cost_smooth(
-                m_terms, e1, e2, e3, epsilon_total, beta, pe, synth
-            )
-            if value < best[0]:
-                best = (value, (e1, e2, e3))
+        rest = epsilon_total - axis
+        e1, e2 = 2.0 * rest / 3.0, rest / 3.0
+        best, (i,) = _first_minimum(evaluate_cost_smooth(
+            m_terms, e1, e2, axis, epsilon_total, beta, pe, synth
+        ))
+        e1, e2, e3 = e1[i], e2[i], axis[i]
     else:
-        for e1 in np.geomspace(lo, hi, grid):
-            for e3 in np.geomspace(lo, hi, grid):
+        best = math.inf
+        for rows in (axis[k:k + 15, None] for k in range(0, grid, 15)):
+            value, (i, j) = _first_minimum(evaluate_cost_smooth(
+                m_terms, rows, epsilon_total - np.hypot(rows, axis), axis,
+                epsilon_total, beta, pe, synth,
+            ))
+            if value < best:
+                best, e1, e3 = value, rows[i, 0], axis[j]
                 e2 = _e2_from_rule(epsilon_total, e1, e3, combination)
-                if e2 <= 0:
-                    continue
-                value = evaluate_cost_smooth(
-                    m_terms, e1, e2, e3, epsilon_total, beta, pe, synth
-                )
-                if value < best[0]:
-                    best = (value, (e1, e2, e3))
-    if best[1] is None:
+    if not best < math.inf:
         raise ValueError("no feasible budget found; epsilon_total too small")
-    e1, e2, e3 = best[1]
-    return _budget_or_none(epsilon_total, e1, e2, e3, combination)
+    try:
+        return ErrorBudget(epsilon_total, e1, e2, e3, combination)
+    except ValueError:
+        return None
 
 
 def optimize_budget(m_terms, epsilon_total, beta, pe, synth,
@@ -417,8 +423,11 @@ def optimize_budget(m_terms, epsilon_total, beta, pe, synth,
     """Minimize the ceiled cost formula over the budget split.
 
     Seeds from approx_optimal_budget plus an equal-split fallback, then
-    refines with shrinking local log grids over (e1, e3), deriving e2 from
-    the saturated combination rule and scoring the exact ceiled cost.
+    refines with five shrinking 17 x 17 log grids over (e1, e3), each
+    scored as one array of evaluate_cost's ceiled T count with e2 from the
+    saturated combination rule. A grid moves the best point only if its
+    first minimum in row-major order is strictly lower; only the final
+    point becomes an ErrorBudget.
 
     Args:
         m_terms, epsilon_total, beta, pe, synth: as in evaluate_cost.
@@ -430,44 +439,30 @@ def optimize_budget(m_terms, epsilon_total, beta, pe, synth,
     if epsilon_total <= 0:
         raise ValueError(f"epsilon_total must be positive, got {epsilon_total}")
     _check_problem(m_terms, beta)
-
-    def score(e1, e3):
-        e2 = _e2_from_rule(epsilon_total, e1, e3, combination)
-        if e2 <= 0:
-            return math.inf, None
-        budget = _budget_or_none(epsilon_total, e1, e2, e3, combination)
-        return _true_cost(m_terms, budget, beta, pe, synth), budget
-
-    candidates = []
-    seed = approx_optimal_budget(
-        m_terms, epsilon_total, beta, pe, synth, combination
+    problem = (m_terms, epsilon_total, beta, pe, synth, combination)
+    seed = approx_optimal_budget(*problem)
+    points = [] if seed is None else [(seed.epsilon1_pe, seed.epsilon3_synth)]
+    fallback = epsilon_total / (
+        3.0 if combination == "worst_case" else 2.0 * math.sqrt(2.0)
     )
-    if seed is not None:
-        candidates.append((seed.epsilon1_pe, seed.epsilon3_synth))
-    if combination == "worst_case":
-        third = epsilon_total / 3.0
-        candidates.append((third, third))
-    else:
-        candidates.append((epsilon_total / (2.0 * math.sqrt(2.0)),) * 2)
-
-    best_cost, best_budget, best_point = math.inf, None, None
-    for e1, e3 in candidates:
-        cost, budget = score(e1, e3)
-        if cost < best_cost:
-            best_cost, best_budget, best_point = cost, budget, (e1, e3)
-    if best_budget is None:
+    points.append((fallback, fallback))
+    best_cost, (i,) = _first_minimum(
+        _ceiled_t_counts(*problem, *np.array(points).T)
+    )
+    if not best_cost < math.inf:
         raise ValueError("no feasible budget found; epsilon_total too small")
-
+    e1, e3 = points[i]
     for span in (30.0, 6.0, 1.6, 1.15, 1.03):
-        e1_c, e3_c = best_point
-        grid1 = np.geomspace(e1_c / span, min(e1_c * span, epsilon_total), 17)
-        grid3 = np.geomspace(e3_c / span, min(e3_c * span, epsilon_total), 17)
-        for e1 in grid1:
-            for e3 in grid3:
-                cost, budget = score(float(e1), float(e3))
-                if cost < best_cost:
-                    best_cost, best_budget, best_point = cost, budget, (e1, e3)
-    return best_budget
+        grid1 = np.geomspace(e1 / span, min(e1 * span, epsilon_total), 17)
+        grid3 = np.geomspace(e3 / span, min(e3 * span, epsilon_total), 17)
+        cost, (i, j) = _first_minimum(
+            _ceiled_t_counts(*problem, grid1[:, None], grid3)
+        )
+        if cost < best_cost:
+            best_cost, e1, e3 = cost, grid1[i], grid3[j]
+    e1, e3 = float(e1), float(e3)
+    e2 = _e2_from_rule(epsilon_total, e1, e3, combination)
+    return ErrorBudget(epsilon_total, e1, e2, e3, combination)
 
 
 def logical_qubit_count(n_spin_orbitals, strategy, parallelism=None,

@@ -363,9 +363,12 @@ def sampling_variance(terms):
 
     Walks the same gated blocks as the exhaustive sum (triples outside the
     gate are zeros of the population), so it costs O(m^3) time; a desk-scale
-    diagnostic for calibrating sample counts.
+    diagnostic for calibrating sample counts. An empty term list has
+    variance 0.
     """
     arrays = _TermArrays(terms)
+    if arrays.m == 0:
+        return 0.0
     total = 0.0
     total_sq = 0.0
     for gamma, _ in _gated_blocks(arrays):

@@ -7,7 +7,12 @@ the package's term enumeration, matrix builder, or cost formulas:
   (occupation-number vectors plus elementary creation/annihilation moves),
 * full configuration interaction energies and ground states from it,
 * an exhaustive triple-sum error-constant evaluator, whole or per key,
-* a literal gate-sequence constructor for the Clifford cost model.
+* a literal gate-sequence constructor for the Clifford cost model,
+* the former scalar budget search (approx_optimal_budget and
+  optimize_budget as per-point Python loops), the reference for the
+  vectorized optimizer. It alone leans on the package: it builds
+  ErrorBudget objects and scores points with the scalar evaluate_cost,
+  whose formula test_costs.py pins against 50-digit arithmetic.
 
 Spin-orbital convention matches the package contract: spatial p (1-based)
 owns spin orbitals 2p-1 (up) and 2p (down). Internally this module uses
@@ -17,8 +22,11 @@ owns spin orbitals 2p-1 (up) and 2p (down). Internally this module uses
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from qsimcost import ErrorBudget, evaluate_cost
 
 
 def apply_annihilate(state, orb):
@@ -197,3 +205,126 @@ def brute_force_interval_packing(supports):
         if best == cuts + 1:
             break
     return best
+
+
+def scalar_cost_smooth(m_terms, e1, e2, e3, epsilon_total, beta, pe, synth):
+    """The smooth cost formula at one point, in scalar math."""
+    if min(e1, e2, e3) <= 0:
+        return math.inf
+    steps = beta * math.sqrt(epsilon_total / e2)
+    log_arg = 2.0 * m_terms * steps / e3
+    if log_arg <= 1.0:
+        return math.inf
+    per_rotation = synth.t_per_rotation(math.log2(log_arg))
+    return 2.0 * m_terms * (pe.alpha / e1) * steps * per_rotation
+
+
+def _budget_or_none(epsilon_total, e1, e2, e3, combination):
+    try:
+        return ErrorBudget(
+            epsilon_total=epsilon_total,
+            epsilon1_pe=e1,
+            epsilon2_trotter=e2,
+            epsilon3_synth=e3,
+            combination=combination,
+        )
+    except ValueError:
+        return None
+
+
+def _true_cost(m_terms, budget, beta, pe, synth):
+    if budget is None:
+        return math.inf
+    try:
+        return evaluate_cost(m_terms, budget, beta, pe, synth).t_count
+    except ValueError:
+        return math.inf
+
+
+def _e2_from_rule(epsilon_total, e1, e3, combination):
+    if combination == "worst_case":
+        return epsilon_total - e1 - e3
+    return epsilon_total - math.hypot(e1, e3)
+
+
+def scalar_approx_optimal_budget(m_terms, epsilon_total, beta, pe, synth,
+                                 combination="worst_case", grid=120):
+    """Seed grid of the budget search, one smooth-cost call per point."""
+    lo = epsilon_total * 1e-9
+    hi = epsilon_total * (1.0 - 1e-9)
+    best = (math.inf, None)
+    if combination == "worst_case":
+        for e3 in np.geomspace(lo, hi, grid):
+            rest = epsilon_total - e3
+            if rest <= 0:
+                continue
+            e1, e2 = 2.0 * rest / 3.0, rest / 3.0
+            value = scalar_cost_smooth(
+                m_terms, e1, e2, e3, epsilon_total, beta, pe, synth
+            )
+            if value < best[0]:
+                best = (value, (e1, e2, e3))
+    else:
+        for e1 in np.geomspace(lo, hi, grid):
+            for e3 in np.geomspace(lo, hi, grid):
+                e2 = _e2_from_rule(epsilon_total, e1, e3, combination)
+                if e2 <= 0:
+                    continue
+                value = scalar_cost_smooth(
+                    m_terms, e1, e2, e3, epsilon_total, beta, pe, synth
+                )
+                if value < best[0]:
+                    best = (value, (e1, e2, e3))
+    if best[1] is None:
+        raise ValueError("no feasible budget found; epsilon_total too small")
+    e1, e2, e3 = best[1]
+    return _budget_or_none(epsilon_total, e1, e2, e3, combination)
+
+
+def scalar_optimize_budget(m_terms, epsilon_total, beta, pe, synth,
+                           combination="worst_case"):
+    """Budget search scoring every grid point with one evaluate_cost call."""
+    if epsilon_total <= 0:
+        raise ValueError(f"epsilon_total must be positive, got {epsilon_total}")
+    if not (math.isfinite(m_terms) and m_terms >= 1):
+        raise ValueError(f"m_terms must be finite and >= 1, got {m_terms}")
+    if not (math.isfinite(beta) and beta >= 1):
+        raise ValueError(f"beta must be finite and >= 1, got {beta}")
+
+    def score(e1, e3):
+        e2 = _e2_from_rule(epsilon_total, e1, e3, combination)
+        if e2 <= 0:
+            return math.inf, None
+        budget = _budget_or_none(epsilon_total, e1, e2, e3, combination)
+        return _true_cost(m_terms, budget, beta, pe, synth), budget
+
+    candidates = []
+    seed = scalar_approx_optimal_budget(
+        m_terms, epsilon_total, beta, pe, synth, combination
+    )
+    if seed is not None:
+        candidates.append((seed.epsilon1_pe, seed.epsilon3_synth))
+    if combination == "worst_case":
+        third = epsilon_total / 3.0
+        candidates.append((third, third))
+    else:
+        candidates.append((epsilon_total / (2.0 * math.sqrt(2.0)),) * 2)
+
+    best_cost, best_budget, best_point = math.inf, None, None
+    for e1, e3 in candidates:
+        cost, budget = score(e1, e3)
+        if cost < best_cost:
+            best_cost, best_budget, best_point = cost, budget, (e1, e3)
+    if best_budget is None:
+        raise ValueError("no feasible budget found; epsilon_total too small")
+
+    for span in (30.0, 6.0, 1.6, 1.15, 1.03):
+        e1_c, e3_c = best_point
+        grid1 = np.geomspace(e1_c / span, min(e1_c * span, epsilon_total), 17)
+        grid3 = np.geomspace(e3_c / span, min(e3_c * span, epsilon_total), 17)
+        for e1 in grid1:
+            for e3 in grid3:
+                cost, budget = score(float(e1), float(e3))
+                if cost < best_cost:
+                    best_cost, best_budget, best_point = cost, budget, (e1, e3)
+    return best_budget

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import scalar_cost_smooth, scalar_optimize_budget
 
 from qsimcost import (
     CLIFFORD_T_RATIO,
@@ -23,6 +24,7 @@ from qsimcost import (
     par_rotation_factories,
     strategy_report,
 )
+from qsimcost.costs import _PE_PRESETS, _SYNTHESIS_PRESETS, _ceiled_t_counts
 
 PE = PhaseEstimationModel.preset("optimal_surrogate")
 SYN = SynthesisModel.preset("fallback_average")
@@ -232,6 +234,116 @@ def test_constant_synthesis_recovers_stationarity():
     assert polished.epsilon1_pe == pytest.approx(
         2.0 * polished.epsilon2_trotter, rel=0.25
     )
+
+
+def test_smooth_cost_on_arrays_matches_scalar_calls():
+    rng = np.random.default_rng(17)
+    eps, m, beta = 1e-3, 40.0, 3.0
+    e1, e2, e3 = (eps * 10 ** rng.uniform(-9, 0.5, (3, 64, 64)))
+    # components <= 0 and log arguments <= 1 (e3 far above 2 m steps)
+    e1[0, :8], e2[1, :8], e3[2, :8] = 0.0, -1e-4, -eps
+    e3[3] = 1e9
+    got = evaluate_cost_smooth(m, e1, e2, e3, eps, beta, PE, SYN)
+    assert got.shape == (64, 64)
+    for (i, j), value in np.ndenumerate(got):
+        point = (m, e1[i, j], e2[i, j], e3[i, j], eps, beta, PE, SYN)
+        scalar = evaluate_cost_smooth(*point)
+        assert type(scalar) is float
+        reference = scalar_cost_smooth(*point)
+        if math.isinf(reference):
+            assert value == scalar == math.inf
+        else:
+            assert value == pytest.approx(scalar, rel=1e-15, abs=0)
+            assert value == pytest.approx(reference, rel=1e-15, abs=0)
+    assert np.isinf(got[:3, :8]).all() and np.isinf(got[3]).all()
+    assert np.isfinite(got[4:]).any()
+
+
+def _t_count_or_inf(m, eps, e1, e3, beta, pe, syn, combination):
+    if combination == "worst_case":
+        e2 = eps - e1 - e3
+    else:
+        e2 = eps - math.hypot(e1, e3)
+    try:
+        budget = ErrorBudget(eps, e1, e2, e3, combination)
+        return evaluate_cost(m, budget, beta, pe, syn).t_count
+    except ValueError:
+        return math.inf
+
+
+@pytest.mark.parametrize("combination", ["worst_case", "variance"])
+@pytest.mark.parametrize("m, eps, beta", [
+    (M_LARGE, 1e-4, BETA_LARGE),
+    (3.3e4, 1e-3, 40.0),
+    # small enough that e3 near eps leaves a log argument <= 1
+    (1.0, 10.0, 1.0),
+])
+def test_ceiled_t_counts_match_evaluate_cost(combination, m, eps, beta):
+    grid = np.geomspace(eps * 1e-6, eps, 41)
+    got = _ceiled_t_counts(m, eps, beta, PE, SYN, combination, grid[:, None],
+                           grid)
+    infeasible = 0
+    for (i, j), value in np.ndenumerate(got):
+        want = _t_count_or_inf(m, eps, float(grid[i]), float(grid[j]), beta,
+                               PE, SYN, combination)
+        if math.isinf(want):
+            infeasible += 1
+            assert value == math.inf
+        else:
+            assert value == pytest.approx(want, rel=1e-15, abs=0)
+    assert 0 < infeasible < got.size
+
+
+def _budget_or_message(optimizer, *args):
+    try:
+        budget = optimizer(*args)
+    except ValueError as error:
+        return str(error)
+    return budget.epsilon1_pe, budget.epsilon2_trotter, budget.epsilon3_synth
+
+
+@pytest.mark.parametrize("combination", ["worst_case", "variance"])
+@pytest.mark.parametrize("synth_name", sorted(_SYNTHESIS_PRESETS))
+@pytest.mark.parametrize("pe_name", sorted(_PE_PRESETS))
+def test_optimizer_matches_scalar_reference_bit_for_bit(pe_name, synth_name,
+                                                        combination):
+    # 34 seeded cases per preset pair and rule, 408 in all
+    pe = PhaseEstimationModel.preset(pe_name)
+    syn = SynthesisModel.preset(synth_name)
+    rng = np.random.default_rng([
+        sorted(_PE_PRESETS).index(pe_name),
+        sorted(_SYNTHESIS_PRESETS).index(synth_name),
+        combination == "variance",
+    ])
+    for _ in range(34):
+        m = float(10 ** rng.uniform(math.log10(3.0), 10.0))
+        eps = float(10 ** rng.uniform(-8.0, -1.0))
+        beta = float(10 ** rng.uniform(0.0, 8.0))
+        args = (m, eps, beta, pe, syn, combination)
+        assert _budget_or_message(optimize_budget, *args) == \
+            _budget_or_message(scalar_optimize_budget, *args)
+
+
+@pytest.mark.parametrize("combination, m, eps, beta", [
+    (combination, *problem)
+    for combination in ("worst_case", "variance")
+    for problem in (
+        (0.5, 1e-3, 10.0),
+        (math.inf, 1e-3, 10.0),
+        (10.0, 1e-3, 0.5),
+        (10.0, 1e-3, math.nan),
+        (10.0, 0.0, 10.0),
+        (10.0, -1e-3, 10.0),
+    )
+] + [
+    # every seed point has a synthesis log argument <= 1
+    ("worst_case", 1.0, 1e12, 1.0),
+])
+def test_optimizer_raises_like_scalar_reference(combination, m, eps, beta):
+    args = (m, eps, beta, PE, SYN, combination)
+    want = _budget_or_message(scalar_optimize_budget, *args)
+    assert isinstance(want, str)
+    assert _budget_or_message(optimize_budget, *args) == want
 
 
 def test_reference_structure_optimum_within_factor_five():

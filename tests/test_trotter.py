@@ -244,6 +244,11 @@ def test_empty_term_list_gives_zero():
     assert estimate.value == 0.0
 
 
+def test_empty_term_list_has_zero_sampling_variance():
+    empty = TermList(terms=(), n_spin_orbitals=2)
+    assert sampling_variance(empty) == 0.0
+
+
 def test_register_too_wide_for_masks():
     term = HamiltonianTerm("PP", (65,), 1.0, 1.0)
     wide = TermList(terms=(term,), n_spin_orbitals=65)
