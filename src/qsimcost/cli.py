@@ -30,7 +30,7 @@ from .hamiltonian import (
     export_terms,
     parse_fcidump,
 )
-from .oracle import strang_error_scan
+from .oracle import DEFAULT_QUBIT_CAP, _check_cap, strang_error_scan
 from .par import (
     ParParams,
     nesting_batches,
@@ -158,6 +158,8 @@ def _cmd_oracle_validate(args):
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     terms = _load_terms(args)
+    # refuse a register past the oracle's cap before the O(M^3) exhaustive h
+    _check_cap(terms.n_spin_orbitals, DEFAULT_QUBIT_CAP)
     estimate = estimate_error_constant(terms)
     t_top = max(args.t_min, args.t_max)
     if not math.isfinite(estimate.value * (t_top * t_top)):

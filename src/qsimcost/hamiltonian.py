@@ -58,6 +58,10 @@ __all__ = [
 ]
 
 TERM_CLASSES = ("PP", "PQ", "PQQP", "PQQR", "PQRS")
+_CLASS_CODE = {c: i for i, c in enumerate(TERM_CLASSES)}
+# (index-tuple length, distinct indices) per class
+_SHAPE = {"PP": (1, 1), "PQ": (2, 2), "PQQP": (4, 2), "PQQR": (4, 3), "PQRS": (4, 4)}
+_LENGTH = np.array([_SHAPE[c][0] for c in TERM_CLASSES])
 
 _EIGHTFOLD = (
     (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
@@ -127,16 +131,6 @@ class IntegralTable:
         )
 
 
-def _spatial(so):
-    """Spatial orbital (1-based) owning spin orbital so (1-based)."""
-    return (so + 1) // 2
-
-
-def _spin(so):
-    """0 for spin up (odd index), 1 for spin down (even index)."""
-    return (so + 1) % 2
-
-
 @dataclasses.dataclass(frozen=True)
 class HamiltonianTerm:
     """One classified, Hermitian-merged second-quantized term.
@@ -144,8 +138,9 @@ class HamiltonianTerm:
     Attributes:
         term_class: one of PP, PQ, PQQP, PQQR, PQRS.
         spin_orbitals: canonical 1-based index tuple; length 1 or 2 for
-            one-body terms, 4 for two-body terms (creation pair ascending
-            then annihilation pair ascending).
+            one-body terms (a PQ pair ascending), 4 for two-body terms
+            (creation pair ascending, then annihilation pair ascending and
+            not before the creation pair). Other tuples raise ValueError.
         coefficient: real prefactor of the merged operator, in Hartree.
         norm: operator-norm contribution used by the error bound, equal to
             abs(coefficient) times a per-class multiplier (default 1).
@@ -157,16 +152,27 @@ class HamiltonianTerm:
     norm: float
 
     def __post_init__(self):
-        if self.term_class not in TERM_CLASSES:
+        shape = _SHAPE.get(self.term_class)
+        if shape is None:
             raise ValueError(f"unknown term class {self.term_class!r}")
-        expected_len = {"PP": 1, "PQ": 2, "PQQP": 4, "PQQR": 4, "PQRS": 4}[self.term_class]
-        expected_distinct = {"PP": 1, "PQ": 2, "PQQP": 2, "PQQR": 3, "PQRS": 4}[self.term_class]
-        if len(self.spin_orbitals) != expected_len or (
-            len(set(self.spin_orbitals)) != expected_distinct
-        ):
+        idx = self.spin_orbitals
+        expected_len, expected_distinct = shape
+        if len(idx) != expected_len or len(set(idx)) != expected_distinct:
             raise ValueError(
                 f"{self.term_class} term needs {expected_len} indices with "
-                f"{expected_distinct} distinct, got {self.spin_orbitals}"
+                f"{expected_distinct} distinct, got {idx}"
+            )
+        # 1-based, each pair ascending, creation pair not after annihilation
+        if idx[0] < 1 or (
+            (expected_len == 2 and not idx[0] < idx[1])
+            or (expected_len == 4 and not (
+                idx[0] < idx[1] and idx[2] < idx[3] and idx[:2] <= idx[2:]
+            ))
+        ):
+            raise ValueError(
+                f"{self.term_class} spin_orbitals {idx} are not canonical: "
+                "indices start at 1, each pair ascends and the creation pair "
+                "does not follow the annihilation pair"
             )
 
     @property
@@ -461,15 +467,6 @@ def write_fcidump(table, destination):
 # Spin-orbital term enumeration
 # ---------------------------------------------------------------------------
 
-def _classify(creation, annihilation):
-    distinct = len(set(creation) | set(annihilation))
-    if distinct == 2:
-        return "PQQP"
-    if distinct == 3:
-        return "PQQR"
-    return "PQRS"
-
-
 def enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):
     """Expand spatial integrals into ordered spin-orbital terms.
 
@@ -485,6 +482,13 @@ def enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):
     PQQP terms. Spin conservation holds by construction: a term survives
     only if the spin multiset of its creation pair equals that of its
     annihilation pair.
+
+    The candidates (i, k, j, l) are the upper triangle of creation pair
+    against annihilation pair, in lexicographic order, kept where the two
+    pairs carry the same number of down spins; both integrals are gathered
+    from the spatial table under their spin masks, so no spin-orbital
+    tensor is built. Terms are only constructed for the candidates that
+    survive the threshold, classified by their number of distinct indices.
 
     Args:
         table: IntegralTable with chemist-notation integrals.
@@ -534,25 +538,28 @@ def enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):
                 else:
                     add("PQ", (i, j), value)
 
-    # two-body terms over creation pairs (i < k) and annihilation pairs
-    # (j < l); the chemist integral pairs i with j and k with l
-    def v_so(i, j, k, l):
-        if _spin(i) != _spin(j) or _spin(k) != _spin(l):
-            return 0.0
-        return v2[_spatial(i) - 1, _spatial(j) - 1, _spatial(k) - 1, _spatial(l) - 1]
-
-    pairs = [(i, k) for i in range(1, n_so + 1) for k in range(i + 1, n_so + 1)]
-    spin_sig = {pair: (_spin(pair[0]) + _spin(pair[1])) for pair in pairs}
-    for ci, (i, k) in enumerate(pairs):
-        for j, l in pairs[ci:]:
-            # creation (i, k) paired with annihilation (j, l); the mirrored
-            # orientation is the Hermitian conjugate and is not revisited
-            if spin_sig[(i, k)] != spin_sig[(j, l)]:
-                continue
-            w = v_so(i, j, k, l) - v_so(i, l, k, j)
-            if w == 0.0:
-                continue
-            add(_classify((i, k), (j, l)), (i, k, j, l), w)
+    # two-body terms, 0-based here: spin orbital x is spatial x // 2 with
+    # spin x % 2. Creation pair (i, k) meets annihilation pairs (j, l) from
+    # itself on; the mirrored orientation is the Hermitian conjugate
+    lower, upper = np.triu_indices(n_so, 1)
+    down = lower % 2 + upper % 2
+    cre, ann = np.triu_indices(len(lower))
+    same_spin = down[cre] == down[ann]
+    cre, ann = cre[same_spin], ann[same_spin]
+    i, k, j, l = lower[cre], upper[cre], lower[ann], upper[ann]
+    # with equal down counts, spin(i) == spin(j) forces spin(k) == spin(l),
+    # and spin(i) == spin(l) forces spin(k) == spin(j)
+    direct = np.where(i % 2 == j % 2, v2[i // 2, j // 2, k // 2, l // 2], 0.0)
+    exchange = np.where(i % 2 == l % 2, v2[i // 2, l // 2, k // 2, j // 2], 0.0)
+    w = direct - exchange
+    keep = (w != 0.0) & ~(np.abs(w) <= drop_threshold)
+    index = np.stack([i, k, j, l], axis=1)[keep] + 1
+    i, k, j, l = index.T
+    distinct = 4 - (i == j).astype(int) - (i == l) - (k == j) - (k == l)
+    for idx, value, d in zip(index.tolist(), w[keep].tolist(), distinct.tolist()):
+        term_class = TERM_CLASSES[d]  # 2, 3, 4 distinct -> PQQP, PQQR, PQRS
+        norm = abs(value) * multipliers[term_class]
+        terms.append(HamiltonianTerm(term_class, tuple(idx), value, norm))
 
     terms.sort(key=HamiltonianTerm.sort_key)
     return TermList(
@@ -561,6 +568,22 @@ def enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):
         n_electrons=table.n_electrons,
         core_energy=table.core_energy,
     )
+
+
+def _term_table(terms):
+    """Class codes and zero-padded index rows of a re-iterable term sequence.
+
+    Returns (codes, index): codes is int8 in TERM_CLASSES order, index an
+    (M, 4) int64 array holding each term's spin_orbitals left-aligned with
+    zeros after them (canonical indices start at 1, so 0 is never an index).
+    """
+    m = len(terms)
+    codes = np.fromiter((_CLASS_CODE[t.term_class] for t in terms), np.int8, m)
+    index = np.zeros((m, 4), dtype=np.int64)
+    index[np.arange(4) < _LENGTH[codes][:, None]] = np.fromiter(
+        (so for t in terms for so in t.spin_orbitals), np.int64
+    )
+    return codes, index
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +620,27 @@ class CliffordStepCount:
         return self.entangling + self.basis_changes
 
 
-def _ladder_common_prefix(a, b):
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
+def _chain_membership(codes, index):
+    """(M, n) membership matrix: [j, q - 1] is set when spin orbital q lies
+    on the Jordan-Wigner chain of term j, n being the largest index.
+
+    Every chain is the union of two closed index ranges. One-body terms use
+    [p, p] (PP) or [p, q] (PQ) twice. With the four indices of a two-body
+    term sorted as w1 <= w2 <= w3 <= w4 the chain is [w1, w2] U [w3, w4]:
+    for PQQP (p, p, q, q) that is {p} U {q}; for PQQR the repeated (shared)
+    index either closes a one-point range or sits inside [lo, hi], which
+    gives [lo, hi] U {shared}; for PQRS it is the two segments themselves.
+    """
+    w1, w2, w3, w4 = np.sort(index, axis=1).T
+    one_body = codes < _CLASS_CODE["PQQP"]
+    p = index[:, 0]
+    q = np.maximum(p, index[:, 1])  # q = p for PP
+    first = np.where(one_body, p, w1), np.where(one_body, q, w2)
+    second = np.where(one_body, p, w3), np.where(one_body, q, w4)
+    qubit = np.arange(1, int(index.max()) + 1)
+    return (
+        (qubit >= first[0][:, None]) & (qubit <= first[1][:, None])
+    ) | ((qubit >= second[0][:, None]) & (qubit <= second[1][:, None]))
 
 
 def clifford_count_per_step(terms, cost_table=None):
@@ -616,6 +653,15 @@ def clifford_count_per_step(terms, cost_table=None):
     of the forward-plus-reverse sequence (the turnaround repeats the last
     term, so its ladder cancels completely).
 
+    Closed form: each term's chain (HamiltonianTerm.jw_chain) is a row of
+    a boolean membership matrix built from two index ranges per term, and
+    its width w is the row sum. Two consecutive chains agree on their
+    first k qubits, where k counts the set bits of the earlier row before
+    the first column in which the rows differ (all of them when none
+    does); their ladders then share max(k - 1, 0) rungs. The reverse pass
+    repeats the forward junctions mirrored, and the turnaround cancels
+    w_last - 1 rungs, so every quantity is an integer sum over rows.
+
     Args:
         terms: TermList (or any iterable of HamiltonianTerm in step order).
         cost_table: CliffordCostTable overriding the default constants.
@@ -627,24 +673,29 @@ def clifford_count_per_step(terms, cost_table=None):
     sequence = list(terms)
     if not sequence:
         return CliffordStepCount(entangling=0, basis_changes=0, rotations=0)
-    sequence = sequence + sequence[::-1]
+    codes, index = _term_table(sequence)
+    chain = _chain_membership(codes, index)
+    width = chain.sum(axis=1)
+    diagonal = (codes == _CLASS_CODE["PP"]) | (codes == _CLASS_CODE["PQQP"])
 
-    entangling = 0
-    basis = 0
-    for term in sequence:
-        w = len(term.jw_chain)
-        entangling += table.entangling_per_rung * (w - 1)
-        if term.is_diagonal:
-            basis += table.diagonal_basis_changes * w
-        else:
-            basis += table.basis_changes_per_qubit * w
+    # every term appears twice in the forward-plus-reverse sequence
+    entangling = 2 * table.entangling_per_rung * int((width - 1).sum())
+    basis = 2 * (
+        table.diagonal_basis_changes * int(width[diagonal].sum())
+        + table.basis_changes_per_qubit * int(width[~diagonal].sum())
+    )
     if table.cancel_adjacent_ladders:
-        for prev, cur in zip(sequence[:-1], sequence[1:]):
-            entangling -= 2 * _ladder_common_prefix(prev.ladder, cur.ladder)
+        differ = np.ones((len(sequence) - 1, chain.shape[1] + 1), dtype=bool)
+        differ[:, :-1] = chain[:-1] != chain[1:]
+        before = np.zeros((len(sequence), chain.shape[1] + 1), dtype=np.int64)
+        np.cumsum(chain, axis=1, out=before[:, 1:])
+        shared = before[np.arange(len(sequence) - 1), differ.argmax(axis=1)]
+        forward = int(np.maximum(shared - 1, 0).sum())
+        entangling -= 2 * (2 * forward + int(width[-1]) - 1)
     return CliffordStepCount(
         entangling=entangling,
         basis_changes=basis,
-        rotations=2 * len(terms),
+        rotations=2 * len(sequence),
     )
 
 

@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .hamiltonian import TERM_CLASSES
+from .hamiltonian import TERM_CLASSES, _term_table
 
 __all__ = [
     "ErrorConstantEstimate",
@@ -61,6 +61,8 @@ __all__ = [
 
 _MAX_MASK_BITS = 64
 _HOPPING = ("PQ", "PQQR")
+_HOPPING_CODES = [TERM_CLASSES.index(c) for c in _HOPPING]
+_DIAGONAL_CODES = [TERM_CLASSES.index(c) for c in ("PP", "PQQP")]
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +105,14 @@ def nested_commutator_vanishes(term_a, term_b, term_c):
 # ---------------------------------------------------------------------------
 
 class _TermArrays:
-    """Per-term masks and weights packed for vectorized triple evaluation."""
+    """Per-term masks and weights packed for vectorized triple evaluation.
+
+    Built from the term table of hamiltonian._term_table: bit so-1 of a
+    mask stands for spin orbital so. support ORs the bits of a term's
+    indices (the zero padding sets none); hop XORs them on PQ and PQQR
+    terms, where the shared index of a PQQR cancels and leaves its two
+    hop endpoints.
+    """
 
     def __init__(self, terms):
         if terms.n_spin_orbitals > _MAX_MASK_BITS:
@@ -111,28 +120,21 @@ class _TermArrays:
                 f"triple evaluation packs supports into {_MAX_MASK_BITS}-bit "
                 f"masks; {terms.n_spin_orbitals} spin orbitals exceed that"
             )
-        m = len(terms)
-        self.m = m
-        self.norm = np.array([t.norm for t in terms], dtype=float)
-        self.support = np.zeros(m, dtype=np.uint64)
-        self.hop = np.zeros(m, dtype=np.uint64)
-        self.diagonal = np.zeros(m, dtype=bool)
-        self.hopping = np.zeros(m, dtype=bool)
-        self.class_code = np.zeros(m, dtype=np.int8)
-        class_index = {c: i for i, c in enumerate(TERM_CLASSES)}
-        for i, t in enumerate(terms):
-            mask = np.uint64(0)
-            for so in t.support:
-                mask |= np.uint64(1) << np.uint64(so - 1)
-            self.support[i] = mask
-            self.diagonal[i] = t.is_diagonal
-            self.class_code[i] = class_index[t.term_class]
-            if t.term_class in _HOPPING:
-                self.hopping[i] = True
-                hop = np.uint64(0)
-                for so in t.hop_endpoints:
-                    hop |= np.uint64(1) << np.uint64(so - 1)
-                self.hop[i] = hop
+        codes, index = _term_table(terms)
+        self.m = len(codes)
+        self.norm = np.fromiter((t.norm for t in terms), float, self.m)
+        bits = np.where(
+            index > 0,
+            np.uint64(1) << np.maximum(index - 1, 0).astype(np.uint64),
+            np.uint64(0),
+        )
+        self.support = np.bitwise_or.reduce(bits, axis=1)
+        self.diagonal = np.isin(codes, _DIAGONAL_CODES)
+        self.hopping = np.isin(codes, _HOPPING_CODES)
+        self.hop = np.where(
+            self.hopping, np.bitwise_xor.reduce(bits, axis=1), np.uint64(0)
+        )
+        self.class_code = codes
 
     def _inner_zero(self, b, c):
         disjoint = (self.support[b] & self.support[c]) == 0
@@ -260,36 +262,49 @@ def _exhaustive(arrays):
 
 
 def _stratified(arrays, samples_per_stratum, seed):
-    root = np.random.SeedSequence(seed)
-    total = 0.0
-    variance = 0.0
-    drawn = 0
-    per_stratum = {}
-    for index, (key, pos_a, pos_b, pos_c) in enumerate(_strata(arrays)):
-        cube = len(pos_a) * len(pos_b) * len(pos_c)
+    """Stratified estimate over the class-signature strata.
+
+    Strata of at most samples_per_stratum triples are enumerated; every
+    other stratum draws samples_per_stratum triples from its own Philox
+    stream. All triples are scored by one gamma call, and each stratum's
+    sum, mean and variance are taken over its contiguous slice.
+    """
+    strata = _strata(arrays)
+    draws = []
+    for index, (_, pos_a, pos_b, pos_c) in enumerate(strata):
+        if len(pos_a) * len(pos_b) * len(pos_c) <= samples_per_stratum:
+            grids = np.meshgrid(pos_a, pos_b, pos_c, indexing="ij")
+            draws.append([grid.ravel() for grid in grids])
+            continue
         # one independent stream per stratum, stable under reallocation
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,)))
         )
-        if cube <= samples_per_stratum:
-            a_grid, b_grid, c_grid = np.meshgrid(pos_a, pos_b, pos_c, indexing="ij")
-            gam = arrays.gamma(a_grid.ravel(), b_grid.ravel(), c_grid.ravel())
-            contribution = float(gam.sum())
-            per_stratum[key] = contribution
-            total += contribution
-            continue
         n = samples_per_stratum
-        a = pos_a[rng.integers(0, len(pos_a), n)]
-        b = pos_b[rng.integers(0, len(pos_b), n)]
-        c = pos_c[rng.integers(0, len(pos_c), n)]
-        gam = arrays.gamma(a, b, c)
-        mean = float(gam.mean())
-        contribution = cube * mean
+        draws.append(
+            [pos[rng.integers(0, len(pos), n)] for pos in (pos_a, pos_b, pos_c)]
+        )
+    gam_all = arrays.gamma(*(np.concatenate(column) for column in zip(*draws)))
+
+    total = 0.0
+    variance = 0.0
+    drawn = 0
+    per_stratum = {}
+    stop = 0
+    for (key, pos_a, pos_b, pos_c), (a, _, _) in zip(strata, draws):
+        start, stop = stop, stop + len(a)
+        gam = gam_all[start:stop]
+        cube = len(pos_a) * len(pos_b) * len(pos_c)
+        if cube <= samples_per_stratum:
+            contribution = float(gam.sum())
+        else:
+            n = samples_per_stratum
+            contribution = cube * float(gam.mean())
+            var = float(gam.var(ddof=1)) if n > 1 else 0.0
+            variance += cube * cube * var / n
+            drawn += n
         per_stratum[key] = contribution
         total += contribution
-        var = float(gam.var(ddof=1)) if n > 1 else 0.0
-        variance += cube * cube * var / n
-        drawn += n
     return total, math.sqrt(variance), drawn, per_stratum
 
 

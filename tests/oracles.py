@@ -10,9 +10,17 @@ the package's term enumeration, matrix builder, or cost formulas:
 * a literal gate-sequence constructor for the Clifford cost model,
 * the former scalar budget search (approx_optimal_budget and
   optimize_budget as per-point Python loops), the reference for the
-  vectorized optimizer. It alone leans on the package: it builds
-  ErrorBudget objects and scores points with the scalar evaluate_cost,
-  whose formula test_costs.py pins against 50-digit arithmetic.
+  vectorized optimizer. It leans on the package: it builds ErrorBudget
+  objects and scores points with the scalar evaluate_cost, whose formula
+  test_costs.py pins against 50-digit arithmetic.
+* the former per-term loops of the FCIDUMP term path, the reference for
+  its array kernels: the two-body enumeration loop, the Clifford count
+  over jw_chain ladders, the mask packing loop of the triple evaluator and
+  the per-stratum sampling loop. These also lean on the package: they
+  build HamiltonianTerm and TermList objects, read the public jw_chain
+  and ladder properties, and score triples with the evaluator's gamma.
+  random_canonical_terms draws synthetic term lists of any register width
+  for them.
 
 Spin-orbital convention matches the package contract: spatial p (1-based)
 owns spin orbitals 2p-1 (up) and 2p (down). Internally this module uses
@@ -23,10 +31,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 
 import numpy as np
 
-from qsimcost import ErrorBudget, evaluate_cost
+from qsimcost import (
+    CliffordCostTable,
+    CliffordStepCount,
+    ErrorBudget,
+    HamiltonianTerm,
+    TermList,
+    evaluate_cost,
+)
+from qsimcost.hamiltonian import TERM_CLASSES
+from qsimcost.trotter import _strata
 
 
 def apply_annihilate(state, orb):
@@ -328,3 +346,231 @@ def scalar_optimize_budget(m_terms, epsilon_total, beta, pe, synth,
                 if cost < best_cost:
                     best_cost, best_budget, best_point = cost, budget, (e1, e3)
     return best_budget
+
+
+# ---------------------------------------------------------------------------
+# Scalar term path (enumeration, Clifford count, mask packing, stratified h)
+# ---------------------------------------------------------------------------
+
+def _spatial(so):
+    """Spatial orbital (1-based) owning spin orbital so (1-based)."""
+    return (so + 1) // 2
+
+
+def _spin(so):
+    """0 for spin up (odd index), 1 for spin down (even index)."""
+    return (so + 1) % 2
+
+
+def _classify(creation, annihilation):
+    distinct = len(set(creation) | set(annihilation))
+    if distinct == 2:
+        return "PQQP"
+    if distinct == 3:
+        return "PQQR"
+    return "PQRS"
+
+
+def random_canonical_terms(n_spin_orbitals, count, seed):
+    """TermList of count distinct canonical terms cycling through the classes.
+
+    Indices are drawn uniformly from 1..n_spin_orbitals, so chains span the
+    whole register; coefficients are uniform in [-1, 1].
+    """
+    rng = np.random.default_rng(seed)
+    terms = {}
+    while len(terms) < count:
+        term_class = TERM_CLASSES[len(terms) % len(TERM_CLASSES)]
+        draw = sorted(int(x) for x in rng.choice(
+            np.arange(1, n_spin_orbitals + 1),
+            {"PP": 1, "PQ": 2, "PQQP": 2, "PQQR": 3, "PQRS": 4}[term_class],
+            replace=False,
+        ))
+        if term_class in ("PP", "PQ"):
+            idx = tuple(draw)
+        elif term_class == "PQQP":
+            idx = (*draw, *draw)
+        else:
+            if term_class == "PQQR":
+                shared = draw.pop(int(rng.integers(3)))
+                draw = [shared, draw[0], shared, draw[1]]
+            else:
+                draw = [int(x) for x in rng.permutation(draw)]
+            # each pair ascending, the smaller pair is the creation pair
+            pairs = sorted([tuple(sorted(draw[:2])), tuple(sorted(draw[2:]))])
+            idx = (*pairs[0], *pairs[1])
+        coefficient = float(rng.uniform(-1.0, 1.0))
+        terms[idx] = HamiltonianTerm(term_class, idx, coefficient, abs(coefficient))
+    ordered = sorted(terms.values(), key=HamiltonianTerm.sort_key)
+    return TermList(terms=tuple(ordered), n_spin_orbitals=n_spin_orbitals)
+
+
+def scalar_enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):
+    """enumerate_terms with the two-body part as a loop over pair pairs."""
+    multipliers = {c: 1.0 for c in TERM_CLASSES}
+    if norm_multipliers:
+        unknown = set(norm_multipliers) - set(TERM_CLASSES)
+        if unknown:
+            raise ValueError(f"unknown term classes in norm_multipliers: {sorted(unknown)}")
+        multipliers.update(norm_multipliers)
+
+    n_sp = table.n_spatial
+    n_so = 2 * n_sp
+    h1 = table.one_body
+    v2 = table.two_body
+    terms = []
+
+    def add(term_class, spin_orbitals, coefficient):
+        if abs(coefficient) <= drop_threshold:
+            return
+        terms.append(
+            HamiltonianTerm(
+                term_class=term_class,
+                spin_orbitals=tuple(spin_orbitals),
+                coefficient=float(coefficient),
+                norm=abs(float(coefficient)) * multipliers[term_class],
+            )
+        )
+
+    # one-body terms: h_pq is spin diagonal, so both indices share a spin
+    for p in range(1, n_sp + 1):
+        for q in range(p, n_sp + 1):
+            value = h1[p - 1, q - 1]
+            if value == 0.0:
+                continue
+            for spin_offset in (1, 2):  # 2p-1 up, 2p down
+                i = 2 * p - 2 + spin_offset
+                j = 2 * q - 2 + spin_offset
+                if i == j:
+                    add("PP", (i,), value)
+                else:
+                    add("PQ", (i, j), value)
+
+    # two-body terms over creation pairs (i < k) and annihilation pairs
+    # (j < l); the chemist integral pairs i with j and k with l
+    def v_so(i, j, k, l):
+        if _spin(i) != _spin(j) or _spin(k) != _spin(l):
+            return 0.0
+        return v2[_spatial(i) - 1, _spatial(j) - 1, _spatial(k) - 1, _spatial(l) - 1]
+
+    pairs = [(i, k) for i in range(1, n_so + 1) for k in range(i + 1, n_so + 1)]
+    spin_sig = {pair: (_spin(pair[0]) + _spin(pair[1])) for pair in pairs}
+    for ci, (i, k) in enumerate(pairs):
+        for j, l in pairs[ci:]:
+            # creation (i, k) paired with annihilation (j, l); the mirrored
+            # orientation is the Hermitian conjugate and is not revisited
+            if spin_sig[(i, k)] != spin_sig[(j, l)]:
+                continue
+            w = v_so(i, j, k, l) - v_so(i, l, k, j)
+            if w == 0.0:
+                continue
+            add(_classify((i, k), (j, l)), (i, k, j, l), w)
+
+    terms.sort(key=HamiltonianTerm.sort_key)
+    return TermList(
+        terms=tuple(terms),
+        n_spin_orbitals=n_so,
+        n_electrons=table.n_electrons,
+        core_energy=table.core_energy,
+    )
+
+
+def _ladder_common_prefix(a, b):
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def scalar_clifford_count_per_step(terms, cost_table=None):
+    """clifford_count_per_step walking the forward-plus-reverse sequence."""
+    table = cost_table or CliffordCostTable()
+    sequence = list(terms)
+    if not sequence:
+        return CliffordStepCount(entangling=0, basis_changes=0, rotations=0)
+    sequence = sequence + sequence[::-1]
+
+    entangling = 0
+    basis = 0
+    for term in sequence:
+        w = len(term.jw_chain)
+        entangling += table.entangling_per_rung * (w - 1)
+        if term.is_diagonal:
+            basis += table.diagonal_basis_changes * w
+        else:
+            basis += table.basis_changes_per_qubit * w
+    if table.cancel_adjacent_ladders:
+        for prev, cur in zip(sequence[:-1], sequence[1:]):
+            entangling -= 2 * _ladder_common_prefix(prev.ladder, cur.ladder)
+    return CliffordStepCount(
+        entangling=entangling,
+        basis_changes=basis,
+        rotations=2 * len(terms),
+    )
+
+
+def scalar_term_arrays(terms):
+    """The triple evaluator's per-term arrays, packed one term at a time."""
+    m = len(terms)
+    arrays = types.SimpleNamespace(m=m)
+    arrays.norm = np.array([t.norm for t in terms], dtype=float)
+    arrays.support = np.zeros(m, dtype=np.uint64)
+    arrays.hop = np.zeros(m, dtype=np.uint64)
+    arrays.diagonal = np.zeros(m, dtype=bool)
+    arrays.hopping = np.zeros(m, dtype=bool)
+    arrays.class_code = np.zeros(m, dtype=np.int8)
+    class_index = {c: i for i, c in enumerate(TERM_CLASSES)}
+    for i, t in enumerate(terms):
+        mask = np.uint64(0)
+        for so in t.support:
+            mask |= np.uint64(1) << np.uint64(so - 1)
+        arrays.support[i] = mask
+        arrays.diagonal[i] = t.is_diagonal
+        arrays.class_code[i] = class_index[t.term_class]
+        if t.term_class in ("PQ", "PQQR"):
+            arrays.hopping[i] = True
+            hop = np.uint64(0)
+            for so in t.hop_endpoints:
+                hop |= np.uint64(1) << np.uint64(so - 1)
+            arrays.hop[i] = hop
+    return arrays
+
+
+def scalar_stratified(arrays, samples_per_stratum, seed):
+    """Stratified h with one gamma call per stratum.
+
+    Returns (value, std_error, samples, per_stratum) like the package's
+    stratified estimator, drawing from the same per-stratum streams.
+    """
+    total = 0.0
+    variance = 0.0
+    drawn = 0
+    per_stratum = {}
+    for index, (key, pos_a, pos_b, pos_c) in enumerate(_strata(arrays)):
+        cube = len(pos_a) * len(pos_b) * len(pos_c)
+        # one independent stream per stratum, stable under reallocation
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,)))
+        )
+        if cube <= samples_per_stratum:
+            a_grid, b_grid, c_grid = np.meshgrid(pos_a, pos_b, pos_c, indexing="ij")
+            gam = arrays.gamma(a_grid.ravel(), b_grid.ravel(), c_grid.ravel())
+            contribution = float(gam.sum())
+            per_stratum[key] = contribution
+            total += contribution
+            continue
+        n = samples_per_stratum
+        a = pos_a[rng.integers(0, len(pos_a), n)]
+        b = pos_b[rng.integers(0, len(pos_b), n)]
+        c = pos_c[rng.integers(0, len(pos_c), n)]
+        gam = arrays.gamma(a, b, c)
+        mean = float(gam.mean())
+        contribution = cube * mean
+        per_stratum[key] = contribution
+        total += contribution
+        var = float(gam.var(ddof=1)) if n > 1 else 0.0
+        variance += cube * cube * var / n
+        drawn += n
+    return total, math.sqrt(variance), drawn, per_stratum

@@ -1,5 +1,7 @@
 import importlib.resources
 import json
+import pathlib
+import time
 import warnings
 
 import pytest
@@ -9,6 +11,10 @@ from qsimcost.cli import main
 _DATA = importlib.resources.files("qsimcost.data")
 H2 = str(_DATA.joinpath("h2_sto3g.fcidump"))
 H4 = str(_DATA.joinpath("h4_chain.fcidump"))
+H8 = str(
+    pathlib.Path(__file__).resolve().parents[1]
+    / "perfbench" / "fixtures" / "h8_chain.fcidump"
+)
 
 
 def run(capsys, *argv):
@@ -110,6 +116,26 @@ def test_overflowing_error_constant_is_named(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: error constant h overflows")
+
+
+def test_oracle_validate_refuses_wide_register_before_computing_h(
+    capsys, monkeypatch
+):
+    # H8 has 16 spin orbitals; its exhaustive h over 1524 terms alone took
+    # tens of seconds before the refusal
+    def no_h(*args, **kwargs):
+        raise AssertionError("h computed for a register the oracle refuses")
+
+    monkeypatch.setattr("qsimcost.cli.estimate_error_constant", no_h)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle-validate", "--fcidump", H8)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: 16 spin orbitals exceed the dense-oracle cap of 14; "
+        "the oracle is exact-but-small by design\n"
+    )
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,4 +1,7 @@
+import dataclasses
 import io
+import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -17,10 +20,27 @@ from qsimcost import (
     write_fcidump,
 )
 
+from oracles import (
+    random_canonical_terms,
+    scalar_clifford_count_per_step,
+    scalar_enumerate_terms,
+)
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+MOLECULES = ("h2_sto3g", "h2_stretched", "heh_plus", "h3_plus", "h4_chain")
+# frozen hydrogen chains of the benchmark, past the bundled sizes
+CHAINS = ("h5p_chain", "h6_chain", "h8_chain")
+
 # dense-integral merged term counts, frozen; unmerged counts double the
 # off-diagonal entries and approach 16x growth per doubling of n
 DENSE_M = {2: 18, 4: 198, 8: 2964}
 DENSE_M_UNMERGED = {2: 26, 4: 360, 8: 5792}
+
+
+def integrals(name):
+    if name in MOLECULES:
+        return load_molecule(name)
+    return parse_fcidump(FIXTURES / f"{name}.fcidump")
 
 
 def random_table(n, seed, n_electrons=None):
@@ -280,6 +300,27 @@ def test_norm_multipliers_reject_unknown_class():
         enumerate_terms(random_table(2, seed=3), norm_multipliers={"XY": 1.0})
 
 
+@pytest.mark.parametrize("name", MOLECULES + CHAINS)
+@pytest.mark.parametrize("options", [
+    {},
+    {"drop_threshold": 0.0},
+    {"drop_threshold": 1e-3},
+    {"norm_multipliers": {"PQQR": 0.5, "PQRS": 2.0}},
+])
+def test_enumeration_matches_scalar_reference(name, options):
+    table = integrals(name)
+    got = enumerate_terms(table, **options)
+    want = scalar_enumerate_terms(table, **options)
+    assert got == want
+    assert repr(got) == repr(want)  # bit for bit, signed zeros included
+
+
+def test_enumeration_of_random_dense_integrals_matches_scalar_reference():
+    for n in (1, 2, 3, 5):
+        table = random_table(n, seed=n)
+        assert enumerate_terms(table) == scalar_enumerate_terms(table)
+
+
 def test_term_validation_rejects_malformed_tuples():
     with pytest.raises(ValueError):
         HamiltonianTerm(term_class="PQ", spin_orbitals=(1, 2, 3, 4),
@@ -290,6 +331,22 @@ def test_term_validation_rejects_malformed_tuples():
     with pytest.raises(ValueError):
         HamiltonianTerm(term_class="ZZ", spin_orbitals=(1, 2),
                         coefficient=1.0, norm=1.0)
+
+
+@pytest.mark.parametrize("text", [
+    "PQ 2 1 0.5",  # pair descends
+    "PQ -1 2 0.5",  # index below 1
+    "PP 0 0.5",
+    "PQQP 2 1 2 1 0.5",
+    "PQQP 1 2 2 1 0.5",  # annihilation pair descends
+    "PQQR 2 1 1 3 0.5",  # creation pair descends
+    "PQQR 1 3 3 2 0.5",
+    "PQRS 3 4 1 2 0.5",  # creation pair after annihilation pair
+    "PQRS 0 1 2 3 0.5",
+])
+def test_non_canonical_terms_are_rejected(text):
+    with pytest.raises(ValueError, match="spin_orbitals"):
+        parse_terms(text + "\n", n_spin_orbitals=4)
 
 
 def test_term_list_rejects_unsorted_terms():
@@ -382,7 +439,7 @@ def simulate_gate_list(sequence, cost_table):
 
 def test_clifford_counts_match_explicit_gate_list():
     cost = CliffordCostTable()
-    for name in ("h2_sto3g", "heh_plus", "h3_plus"):
+    for name in ("h2_sto3g", "heh_plus", "h3_plus", "h4_chain"):
         terms = enumerate_terms(load_molecule(name))
         step = clifford_count_per_step(terms, cost)
         sequence = list(terms) + list(terms)[::-1]
@@ -390,6 +447,50 @@ def test_clifford_counts_match_explicit_gate_list():
         assert step.entangling == entangling, name
         assert step.basis_changes == basis, name
         assert step.rotations == 2 * terms.m
+
+
+# non-default constants, with and without ladder cancellation
+ODD_COSTS = [
+    CliffordCostTable(entangling_per_rung=3, basis_changes_per_qubit=5,
+                      diagonal_basis_changes=1),
+    CliffordCostTable(entangling_per_rung=3, basis_changes_per_qubit=5,
+                      diagonal_basis_changes=1, cancel_adjacent_ladders=False),
+]
+
+
+@pytest.mark.parametrize("name", MOLECULES + CHAINS)
+def test_clifford_count_matches_scalar_reference(name):
+    terms = enumerate_terms(integrals(name))
+    shuffled = list(terms)
+    random.Random(name).shuffle(shuffled)
+    for sequence in (terms, shuffled):
+        for cost in [None, *ODD_COSTS]:
+            got = clifford_count_per_step(sequence, cost)
+            assert got == scalar_clifford_count_per_step(sequence, cost)
+            assert all(type(n) is int for n in dataclasses.astuple(got))
+
+
+def test_clifford_count_has_no_orbital_cap():
+    # chains across a 128-qubit register, every class, beyond any bit mask
+    terms = random_canonical_terms(128, 60, seed=5)
+    shuffled = list(terms)
+    random.Random(5).shuffle(shuffled)
+    # the gate list cancels whole rungs, which is the model's 2 * prefix
+    # only at the default 2 entangling gates per rung
+    per_rung_two = CliffordCostTable(
+        basis_changes_per_qubit=5, diagonal_basis_changes=1
+    )
+    for sequence in (terms, shuffled):
+        for cost in [CliffordCostTable(), *ODD_COSTS]:
+            step = clifford_count_per_step(sequence, cost)
+            assert step == scalar_clifford_count_per_step(sequence, cost)
+        for cost in (CliffordCostTable(), per_rung_two):
+            step = clifford_count_per_step(sequence, cost)
+            entangling, basis = simulate_gate_list(
+                list(sequence) + list(sequence)[::-1], cost
+            )
+            assert (step.entangling, step.basis_changes) == (entangling, basis)
+    assert max(max(t.jw_chain) for t in terms) > 64
 
 
 def test_clifford_single_hop_term_by_hand():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qsimcost import (
+    ErrorConstantEstimate,
     HamiltonianTerm,
     TermList,
     TrotterNumberModel,
@@ -22,12 +23,17 @@ from qsimcost import (
 )
 from qsimcost.trotter import _outer_vanishes, _TermArrays
 
-from oracles import exhaustive_error_constant, exhaustive_error_constant_by_key
-
-H5P_CHAIN = (
-    pathlib.Path(__file__).resolve().parents[1]
-    / "perfbench" / "fixtures" / "h5p_chain.fcidump"
+from oracles import (
+    exhaustive_error_constant,
+    exhaustive_error_constant_by_key,
+    random_canonical_terms,
+    scalar_stratified,
+    scalar_term_arrays,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+H5P_CHAIN = FIXTURES / "h5p_chain.fcidump"
+BUNDLED = ("h2_sto3g", "h2_stretched", "heh_plus", "h3_plus", "h4_chain")
 
 # frozen exhaustive error constants of the bundled molecules (Hartree^3)
 H_EXACT = {
@@ -40,6 +46,10 @@ H_EXACT = {
 
 def molecule_terms(name):
     return enumerate_terms(load_molecule(name))
+
+
+def chain_terms(name):
+    return enumerate_terms(parse_fcidump(FIXTURES / f"{name}.fcidump"))
 
 
 def comm(x, y):
@@ -249,6 +259,23 @@ def test_empty_term_list_has_zero_sampling_variance():
     assert sampling_variance(empty) == 0.0
 
 
+@pytest.mark.parametrize("name", BUNDLED + ("h5p_chain", "h8_chain", "synthetic"))
+def test_term_arrays_match_scalar_packing(name):
+    if name == "synthetic":  # every class, indices up to bit 63
+        terms = random_canonical_terms(64, 200, seed=2)
+    elif name in BUNDLED:
+        terms = molecule_terms(name)
+    else:
+        terms = chain_terms(name)
+    arrays = _TermArrays(terms)
+    want = scalar_term_arrays(terms)
+    assert arrays.m == want.m
+    for field in ("norm", "support", "hop", "diagonal", "hopping", "class_code"):
+        got, ref = getattr(arrays, field), getattr(want, field)
+        assert got.dtype == ref.dtype, field
+        np.testing.assert_array_equal(got, ref, err_msg=field)
+
+
 def test_register_too_wide_for_masks():
     term = HamiltonianTerm("PP", (65,), 1.0, 1.0)
     wide = TermList(terms=(term,), n_spin_orbitals=65)
@@ -259,6 +286,38 @@ def test_register_too_wide_for_masks():
 # ---------------------------------------------------------------------------
 # Stratified sampling
 # ---------------------------------------------------------------------------
+
+def _reference_estimate(terms, samples_per_stratum, seed):
+    value, std_error, drawn, per_stratum = scalar_stratified(
+        _TermArrays(terms), samples_per_stratum, seed
+    )
+    return ErrorConstantEstimate(
+        value=value, method="stratified", std_error=std_error, samples=drawn,
+        population=terms.m**3, per_stratum=per_stratum, seed=seed,
+    )
+
+
+@pytest.mark.parametrize("name", ["h6_chain", "h8_chain", "h10_chain"])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_stratified_matches_per_stratum_reference(name, seed):
+    terms = chain_terms(name)
+    got = estimate_error_constant(terms, method="stratified", seed=seed)
+    want = _reference_estimate(terms, 200, seed)
+    assert got == want
+    assert repr(got) == repr(want)  # bit for bit
+
+
+@pytest.mark.parametrize("samples_per_stratum", [1, 2, 50, 5000])
+def test_stratified_mixing_enumerated_strata_matches_reference(samples_per_stratum):
+    # small budgets sample every stratum; large ones enumerate some or all
+    for name in ("heh_plus", "h4_chain"):
+        terms = molecule_terms(name)
+        got = estimate_error_constant(
+            terms, method="stratified", samples_per_stratum=samples_per_stratum, seed=4
+        )
+        want = _reference_estimate(terms, samples_per_stratum, 4)
+        assert repr(got) == repr(want), name
+
 
 def test_stratified_is_exact_when_budget_covers_all_strata():
     terms = molecule_terms("h2_sto3g")
