@@ -598,7 +598,7 @@ class CliffordCostTable:
     and, unless the term is diagonal in the computational basis,
     basis_changes_per_qubit * w basis-change gates, plus one rotation.
     Consecutive terms whose CNOT ladders share a prefix cancel
-    2 * prefix_length entangling gates at the junction.
+    entangling_per_rung * prefix_length entangling gates at the junction.
     """
 
     entangling_per_rung: int = 2
@@ -691,7 +691,9 @@ def clifford_count_per_step(terms, cost_table=None):
         np.cumsum(chain, axis=1, out=before[:, 1:])
         shared = before[np.arange(len(sequence) - 1), differ.argmax(axis=1)]
         forward = int(np.maximum(shared - 1, 0).sum())
-        entangling -= 2 * (2 * forward + int(width[-1]) - 1)
+        entangling -= table.entangling_per_rung * (
+            2 * forward + int(width[-1]) - 1
+        )
     return CliffordStepCount(
         entangling=entangling,
         basis_changes=basis,

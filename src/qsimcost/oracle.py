@@ -10,7 +10,19 @@ molecules small enough to solve outright.
 The Strang-step oracle narrows a particle sector further when it can: if
 every term also conserves Sz, the step unitary, its eigendecomposition and
 the overlap selection live in the Sz block that holds the sector's ground
-state (for H6 in 12 spin orbitals, 400 of the sector's 924 states).
+state (for H6 in 12 spin orbitals, 400 of the sector's 924 states). The
+block's term actions are the sector's, renumbered.
+
+A scan runs as one batched computation over its step sizes. The forward
+half-products of every step size in a chunk come from one pass over the
+terms. Each factor exp(-i H_j t/2) is complex symmetric, so the step
+unitary U = F F^T is complex symmetric and unitary: Re U and Im U are
+commuting real symmetric matrices with a shared real orthogonal
+eigenbasis, which one real symmetric eigh per step finds in place of a
+complex eig (a second, smaller eigh separates the rare pair of phases that
+the first one's mix of Re U and Im U cannot tell apart). A chunk holds at most 2**18 complex entries of half-products
+(4 MB): 20 step sizes of H5+'s 100-state block, one of H6's 400-state
+block. A single step size is the one-step case of the same code.
 
 The register is capped (default 14 spin orbitals, a 16384-dimensional Fock
 space). Full-space dense work at the cap needs several GB; practical test
@@ -125,28 +137,27 @@ class _TermAction:
         np.add.at(matrix, (self.target, self.source), amp)
         np.add.at(matrix, (self.source, self.target), amp)
 
-def _apply_term_exponential(action, time_slice, matrix):
-    """matrix <- exp(-i * time_slice * term_operator) @ matrix, in place.
+    def restricted(self, positions, inverse):
+        """This action on the states at positions, renumbered by inverse.
 
-    Off-diagonal merged terms satisfy (E + E^T)^2 = P with P the projector
-    onto the union of E's domain and range, so the exponential closes in
-    that two-block subspace:
-
-        exp(-i w t (E + E^T)) = I + (cos(w t) - 1) P - i sin(w t) (E + E^T).
-    """
-    if action.diagonal is not None:
-        phases = np.exp(-1j * time_slice * action.diagonal)
-        matrix *= phases[:, None]
-        return
-    angle = time_slice * action.term.coefficient
-    cos_m1 = math.cos(angle) - 1.0
-    sin_f = math.sin(angle)
-    src, tgt, signs = action.source, action.target, action.signs
-    rows_src = matrix[src]
-    rows_tgt = matrix[tgt]
-    matrix[src] = rows_src + cos_m1 * rows_src - 1j * sin_f * signs[:, None] * rows_tgt
-    matrix[tgt] = rows_tgt + cos_m1 * rows_tgt - 1j * sin_f * signs[:, None] * rows_src
-
+        inverse maps a position of the original state set to its index in
+        positions, or -1 outside them; the subset must be closed under the
+        term, as an Sz block is under an Sz-conserving term.
+        """
+        part = object.__new__(_TermAction)
+        part.term = self.term
+        if self.diagonal is not None:
+            part.diagonal = self.diagonal[positions]
+            part.source = part.target = part.signs = None
+            return part
+        keep = inverse[self.source] >= 0
+        if np.any(keep != (inverse[self.target] >= 0)):
+            raise AssertionError("term left the Sz block")
+        part.diagonal = None
+        part.source = inverse[self.source[keep]]
+        part.target = inverse[self.target[keep]]
+        part.signs = self.signs[keep]
+        return part
 
 @dataclasses.dataclass(frozen=True)
 class FockMatrixHamiltonian:
@@ -310,6 +321,62 @@ def _sz_blocks(actions, states):
 # smaller |Sz| wins (Hartree)
 _DEGENERACY_TOL = 1e-10
 
+# complex entries in one chunk's stack of half-products, a bound on the
+# scan's working memory: H5+ (100 states) scans 20 step sizes per chunk,
+# H6 (400 states) one
+_STACK_ENTRIES = 2**18
+
+# the real symmetric matrix Re U + _MIX * Im U has the eigenvectors of a
+# complex symmetric unitary U; its eigenvalues cos(phi) + _MIX * sin(phi)
+# coincide only for phases mirrored across the axis atan(_MIX), and such
+# pairs are split again under _REMIX, whose axis is a right angle away
+_MIX = 0.6180339887498949
+_REMIX = -1.0 / _MIX
+
+# max-norm bound on U U^dagger - I and on the eigen-residual U Q - Q Lambda
+_UNITARY_TOL = 1e-9
+
+
+def _eigen_residual(real, imag, basis):
+    """Eigenvalues diag(Q^T U Q) of U = real + i imag on the real basis Q,
+    and the max-norm residual of each column of U Q - Q Lambda."""
+    u_real = real @ basis
+    u_imag = imag @ basis
+    eig_real = np.sum(basis * u_real, axis=-2)
+    eig_imag = np.sum(basis * u_imag, axis=-2)
+    residual = np.hypot(
+        u_real - basis * eig_real[..., None, :],
+        u_imag - basis * eig_imag[..., None, :],
+    ).max(axis=-2)
+    return eig_real + 1j * eig_imag, residual
+
+
+def _symmetric_unitary_eig(unitary):
+    """Eigenvalues and a shared real orthogonal eigenbasis of a stack of
+    complex symmetric unitaries.
+
+    For U = X + iY complex symmetric and unitary, X and Y are real
+    symmetric and U U^dagger = X^2 + Y^2 + i(YX - XY) = I, so they commute
+    and share a real orthogonal eigenbasis Q. One real symmetric eigh of
+    X + _MIX * Y finds it. Columns that a mirrored pair of phases mixed
+    fail the residual check and are re-diagonalized in their own span
+    under _REMIX; then every column must meet _UNITARY_TOL.
+    """
+    real = np.ascontiguousarray(unitary.real)
+    imag = np.ascontiguousarray(unitary.imag)
+    basis = np.linalg.eigh(real + _MIX * imag)[1]
+    evals, residual = _eigen_residual(real, imag, basis)
+    for k in np.nonzero(residual.max(axis=-1) > _UNITARY_TOL)[0]:
+        mixed = residual[k] > _UNITARY_TOL
+        span = basis[k][:, mixed]
+        turn = np.linalg.eigh(span.T @ (real[k] + _REMIX * imag[k]) @ span)[1]
+        basis[k][:, mixed] = span @ turn
+        evals[k], residual[k] = _eigen_residual(real[k], imag[k], basis[k])
+    worst = float(residual.max(initial=0.0))
+    if worst > _UNITARY_TOL:
+        raise AssertionError(f"step unitary eigenbasis residual {worst:g}")
+    return evals, basis
+
 
 class _StrangEvaluator:
     """Shared precomputation for repeated step-unitary evaluations.
@@ -341,51 +408,117 @@ class _StrangEvaluator:
                 best = (float(evals[0]), evecs[:, 0], positions)
         self.e_fci_electronic, self.ground, positions = best
         if len(positions) < len(self.states):
+            inverse = np.full(len(self.states), -1)
+            inverse[positions] = np.arange(len(positions))
             self.states = self.states[positions]
-            self.actions = _actions(terms, self.states)
+            self.actions = [a.restricted(positions, inverse) for a in self.actions]
 
-    def step_unitary(self, t):
-        """One second-order step: forward half-products then their reverse.
+    def _half_products(self, ts):
+        """Forward half-products at every step size, stacked state-major.
+
+        Returns a (dim, T, dim) array whose [:, k, :] is the product of the
+        exp(-i H_j ts[k] / 2) over the terms in order. An off-diagonal
+        merged term w (E + E^T) has (E + E^T)^2 = P, the projector onto the
+        union of E's domain and range, so its exponential closes in that
+        two-block subspace:
+
+            exp(-i a (E + E^T)) = I + (cos(a) - 1) P - i sin(a) (E + E^T)
+
+        with a = w t / 2: one gather, rotate and scatter of its source and
+        target rows for all T at once. A diagonal term only multiplies a
+        pending (dim, T) phase; a rotation folds the pending phases of the
+        rows it touches into its coefficients, and the rest are applied
+        once at the end.
+        """
+        dim = len(self.states)
+        half = np.asarray(ts, dtype=float) / 2.0
+        stack = np.zeros((dim, len(half), dim), dtype=complex)
+        stack[np.arange(dim), :, np.arange(dim)] = 1.0
+        pending = np.ones((dim, len(half)), dtype=complex)
+        for action in reversed(self.actions):
+            if action.diagonal is not None:
+                pending *= np.exp(-1j * np.multiply.outer(action.diagonal, half))
+                continue
+            angle = half * action.term.coefficient
+            cos = np.cos(angle)
+            hop = -1j * np.sin(angle) * action.signs[:, None]
+            src, tgt = action.source, action.target
+            phase_src, phase_tgt = pending[src], pending[tgt]
+            rows_src, rows_tgt = stack[src], stack[tgt]
+            rotated = rows_src * (cos * phase_src)[..., None]
+            rotated += rows_tgt * (hop * phase_tgt)[..., None]
+            stack[src] = rotated
+            rows_tgt *= (cos * phase_tgt)[..., None]
+            rows_src *= (hop * phase_src)[..., None]
+            rows_tgt += rows_src
+            stack[tgt] = rows_tgt
+            pending[src] = 1.0
+            pending[tgt] = 1.0
+        stack *= pending[..., None]
+        return stack
+
+    def _step_unitaries(self, ts):
+        """(T, dim, dim) step unitaries U = F F^T.
 
         Each merged term matrix is real symmetric, so each exponential
         factor is complex symmetric and the reverse half-product is exactly
-        the transpose of the forward one.
+        the transpose of the forward one, F.
         """
-        dim = len(self.states)
-        forward = np.eye(dim, dtype=complex)
-        for action in reversed(self.actions):
-            _apply_term_exponential(action, t / 2.0, forward)
-        return forward @ forward.T
+        forward = self._half_products(ts).transpose(1, 0, 2)
+        return forward @ forward.transpose(0, 2, 1)
+
+    def step_unitary(self, t):
+        """One second-order step: forward half-products then their reverse."""
+        return self._step_unitaries([t])[0]
+
+    def _chunk_reports(self, ts):
+        unitary = self._step_unitaries(ts)
+        defects = np.abs(
+            unitary @ unitary.conj().transpose(0, 2, 1) - np.eye(unitary.shape[1])
+        ).max(axis=(1, 2))
+        worst = float(defects.max())
+        if worst > _UNITARY_TOL:
+            raise AssertionError(f"step unitary lost unitarity, defect {worst:g}")
+        evals, basis = _symmetric_unitary_eig(unitary)
+        overlaps = (self.ground @ basis) ** 2
+        core = self.terms.core_energy
+        reports = []
+        for t, eig, overlap, defect in zip(ts, evals, overlaps, defects):
+            best = int(np.argmax(overlap))
+            phase = float(np.angle(eig[best]))
+            e_eff_elec = -phase / t
+            wrapped = (
+                abs(phase) >= math.pi * (1.0 - 1e-9)
+                or abs(self.e_fci_electronic) * t >= math.pi
+            )
+            reports.append(TrotterExactReport(
+                t=t,
+                e_fci=self.e_fci_electronic + core,
+                e_effective=e_eff_elec + core,
+                delta_e=abs(e_eff_elec - self.e_fci_electronic),
+                empirical_trotter_number=math.ceil(1.0 / t),
+                ground_overlap=float(overlap[best]),
+                phase_wrapped=wrapped,
+                unitarity_defect=float(defect),
+            ))
+        return reports
+
+    def scan(self, ts):
+        """TrotterExactReport per step size, in chunks of _STACK_ENTRIES."""
+        ts = [float(t) for t in ts]
+        for t in ts:
+            if t <= 0:
+                raise ValueError(f"step size must be positive, got {t}")
+        size = max(1, _STACK_ENTRIES // len(self.states) ** 2)
+        return [
+            report
+            for start in range(0, len(ts), size)
+            for report in self._chunk_reports(ts[start:start + size])
+        ]
 
     def report(self, t):
-        if t <= 0:
-            raise ValueError(f"step size must be positive, got {t}")
-        unitary = self.step_unitary(t)
-        defect = float(
-            np.max(np.abs(unitary @ unitary.conj().T - np.eye(unitary.shape[0])))
-        )
-        if defect > 1e-9:
-            raise AssertionError(f"step unitary lost unitarity, defect {defect:g}")
-        evals, evecs = np.linalg.eig(unitary)
-        overlaps = np.abs(evecs.conj().T @ self.ground) ** 2
-        best = int(np.argmax(overlaps))
-        phase = float(np.angle(evals[best]))
-        e_eff_elec = -phase / t
-        wrapped = (
-            abs(phase) >= math.pi * (1.0 - 1e-9)
-            or abs(self.e_fci_electronic) * t >= math.pi
-        )
-        core = self.terms.core_energy
-        return TrotterExactReport(
-            t=t,
-            e_fci=self.e_fci_electronic + core,
-            e_effective=e_eff_elec + core,
-            delta_e=abs(e_eff_elec - self.e_fci_electronic),
-            empirical_trotter_number=math.ceil(1.0 / t),
-            ground_overlap=float(overlaps[best]),
-            phase_wrapped=wrapped,
-            unitarity_defect=defect,
-        )
+        """TrotterExactReport at one step size: the one-step scan."""
+        return self.scan([t])[0]
 
 
 def strang_effective_energy(terms, t, particle_sector="auto",
@@ -398,6 +531,15 @@ def strang_effective_energy(terms, t, particle_sector="auto",
     maximal overlap against the exact ground state. The constant core energy
     is excluded from the product (it only rotates the global phase) and
     added back to the reported energies.
+
+    Every factor is complex symmetric, so U is the forward half-product F
+    times its transpose, and U is complex symmetric as well as unitary. Its
+    real and imaginary parts then commute and share a real orthogonal
+    eigenbasis Q, found by one real symmetric eigh; the eigenvalues are
+    diag(Q^T U Q) and the overlaps (Q^T g)^2 with the real ground state g.
+    Both U U^dagger - I and U Q - Q diag(Q^T U Q) are checked against 1e-9
+    in max norm. strang_error_scan runs the same computation batched over
+    its step sizes, in chunks of at most 2**18 complex entries.
 
     Args:
         terms: TermList to Trotterize.
@@ -418,9 +560,13 @@ def strang_effective_energy(terms, t, particle_sector="auto",
 
 def strang_error_scan(terms, ts, particle_sector="auto",
                       qubit_cap=DEFAULT_QUBIT_CAP):
-    """TrotterExactReport rows for a grid of step sizes, sharing setup."""
-    evaluator = _StrangEvaluator(terms, particle_sector, qubit_cap)
-    return [evaluator.report(float(t)) for t in ts]
+    """TrotterExactReport rows for a grid of step sizes, sharing setup.
+
+    The step sizes run as stacked batches, as many per chunk as fit in
+    2**18 complex entries of half-products; the rows are those of
+    strang_effective_energy at each step size.
+    """
+    return _StrangEvaluator(terms, particle_sector, qubit_cap).scan(ts)
 
 
 def empirical_trotter_number(terms, target, ts, particle_sector="auto",

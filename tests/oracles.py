@@ -21,6 +21,11 @@ the package's term enumeration, matrix builder, or cost formulas:
   and ladder properties, and score triples with the evaluator's gamma.
   random_canonical_terms draws synthetic term lists of any register width
   for them.
+* the former per-step Strang oracle, the reference for the batched scan:
+  each step unitary as its own product of term exponentials, a complex
+  np.linalg.eig and the maximal-overlap selection. It shares the package's
+  sector and Sz-block choice and term actions, but replays the block's
+  actions from the terms instead of deriving them from the sector's.
 
 Spin-orbital convention matches the package contract: spatial p (1-based)
 owns spin orbitals 2p-1 (up) and 2p (down). Internally this module uses
@@ -44,6 +49,17 @@ from qsimcost import (
     evaluate_cost,
 )
 from qsimcost.hamiltonian import TERM_CLASSES
+from qsimcost.oracle import (
+    _DEGENERACY_TOL,
+    DEFAULT_QUBIT_CAP,
+    TrotterExactReport,
+    _actions,
+    _basis_states,
+    _check_cap,
+    _resolve_sector,
+    _sz_blocks,
+    build_matrix,
+)
 from qsimcost.trotter import _strata
 
 
@@ -503,7 +519,9 @@ def scalar_clifford_count_per_step(terms, cost_table=None):
             basis += table.basis_changes_per_qubit * w
     if table.cancel_adjacent_ladders:
         for prev, cur in zip(sequence[:-1], sequence[1:]):
-            entangling -= 2 * _ladder_common_prefix(prev.ladder, cur.ladder)
+            entangling -= table.entangling_per_rung * _ladder_common_prefix(
+                prev.ladder, cur.ladder
+            )
     return CliffordStepCount(
         entangling=entangling,
         basis_changes=basis,
@@ -574,3 +592,106 @@ def scalar_stratified(arrays, samples_per_stratum, seed):
         variance += cube * cube * var / n
         drawn += n
     return total, math.sqrt(variance), drawn, per_stratum
+
+
+def apply_term_exponential(action, time_slice, matrix):
+    """matrix <- exp(-i * time_slice * term_operator) @ matrix, in place.
+
+    Off-diagonal merged terms satisfy (E + E^T)^2 = P with P the projector
+    onto the union of E's domain and range, so the exponential closes in
+    that two-block subspace:
+
+        exp(-i w t (E + E^T)) = I + (cos(w t) - 1) P - i sin(w t) (E + E^T).
+    """
+    if action.diagonal is not None:
+        phases = np.exp(-1j * time_slice * action.diagonal)
+        matrix *= phases[:, None]
+        return
+    angle = time_slice * action.term.coefficient
+    cos_m1 = math.cos(angle) - 1.0
+    sin_f = math.sin(angle)
+    src, tgt, signs = action.source, action.target, action.signs
+    rows_src = matrix[src]
+    rows_tgt = matrix[tgt]
+    matrix[src] = rows_src + cos_m1 * rows_src - 1j * sin_f * signs[:, None] * rows_tgt
+    matrix[tgt] = rows_tgt + cos_m1 * rows_tgt - 1j * sin_f * signs[:, None] * rows_src
+
+
+class ReferenceStrangEvaluator:
+    """The Strang oracle one step size at a time with a complex eig.
+
+    The same sector and Sz-block choice as the package's evaluator, but
+    the block's term actions are replayed from the terms, each step
+    unitary is built on its own, and its eigenvectors come from
+    np.linalg.eig of the complex matrix.
+    """
+
+    def __init__(self, terms, particle_sector="auto", qubit_cap=DEFAULT_QUBIT_CAP):
+        n_so = terms.n_spin_orbitals
+        _check_cap(n_so, qubit_cap)
+        sector = _resolve_sector(terms, particle_sector)
+        self.terms = terms
+        self.states = _basis_states(n_so, sector)
+        self.actions = _actions(terms, self.states)
+        matrix = build_matrix(
+            terms, particle_sector=sector, include_core=False, qubit_cap=qubit_cap
+        ).matrix
+        blocks = None if sector is None else _sz_blocks(self.actions, self.states)
+        best = None
+        for positions in blocks or [np.arange(len(self.states))]:
+            evals, evecs = np.linalg.eigh(matrix[np.ix_(positions, positions)])
+            if best is None or evals[0] < best[0] - _DEGENERACY_TOL:
+                best = (float(evals[0]), evecs[:, 0], positions)
+        self.e_fci_electronic, self.ground, positions = best
+        if len(positions) < len(self.states):
+            self.states = self.states[positions]
+            self.actions = _actions(terms, self.states)
+
+    def step_unitary(self, t):
+        """One second-order step: forward half-products then their reverse.
+
+        Each merged term matrix is real symmetric, so each exponential
+        factor is complex symmetric and the reverse half-product is exactly
+        the transpose of the forward one.
+        """
+        dim = len(self.states)
+        forward = np.eye(dim, dtype=complex)
+        for action in reversed(self.actions):
+            apply_term_exponential(action, t / 2.0, forward)
+        return forward @ forward.T
+
+    def report(self, t):
+        if t <= 0:
+            raise ValueError(f"step size must be positive, got {t}")
+        unitary = self.step_unitary(t)
+        defect = float(
+            np.max(np.abs(unitary @ unitary.conj().T - np.eye(unitary.shape[0])))
+        )
+        if defect > 1e-9:
+            raise AssertionError(f"step unitary lost unitarity, defect {defect:g}")
+        evals, evecs = np.linalg.eig(unitary)
+        overlaps = np.abs(evecs.conj().T @ self.ground) ** 2
+        best = int(np.argmax(overlaps))
+        phase = float(np.angle(evals[best]))
+        e_eff_elec = -phase / t
+        wrapped = (
+            abs(phase) >= math.pi * (1.0 - 1e-9)
+            or abs(self.e_fci_electronic) * t >= math.pi
+        )
+        core = self.terms.core_energy
+        return TrotterExactReport(
+            t=t,
+            e_fci=self.e_fci_electronic + core,
+            e_effective=e_eff_elec + core,
+            delta_e=abs(e_eff_elec - self.e_fci_electronic),
+            empirical_trotter_number=math.ceil(1.0 / t),
+            ground_overlap=float(overlaps[best]),
+            phase_wrapped=wrapped,
+            unitarity_defect=defect,
+        )
+
+
+def reference_strang_scan(terms, ts, particle_sector="auto"):
+    """strang_error_scan one reference step size at a time."""
+    evaluator = ReferenceStrangEvaluator(terms, particle_sector)
+    return [evaluator.report(float(t)) for t in ts]

@@ -118,6 +118,25 @@ def test_overflowing_error_constant_is_named(tmp_path, capsys, command):
     assert err.startswith("error: error constant h overflows")
 
 
+@pytest.mark.parametrize("value, wrapped", [("1.0E+40", 20), ("1.0E+15", 0)])
+def test_oracle_validate_survives_a_huge_diagonal_integral(
+    tmp_path, capsys, value, wrapped
+):
+    # a huge (11|11) turns one diagonal term's phases into noise: at 1e40
+    # the sector eigh's round-off pushes |E_FCI| t past pi on every row,
+    # at 1e15 no row wraps; the step unitaries stay unitary and their real
+    # eigenbasis meets its residual bound either way
+    source = _DATA.joinpath("h4_chain.fcidump").read_text()
+    original = "5.5236777347300792E-01    1    1    1    1"
+    assert source.count(original) == 1
+    path = tmp_path / "big.fcidump"
+    path.write_text(source.replace(original, f"{value}    1    1    1    1"))
+    data = run_json(capsys, "oracle-validate", "--fcidump", str(path))
+    assert len(data["rows"]) == 20
+    assert sum(row["phase_wrapped"] for row in data["rows"]) == wrapped
+    assert data["checked"] == 20 - wrapped
+
+
 def test_oracle_validate_refuses_wide_register_before_computing_h(
     capsys, monkeypatch
 ):

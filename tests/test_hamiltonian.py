@@ -475,16 +475,17 @@ def test_clifford_count_has_no_orbital_cap():
     terms = random_canonical_terms(128, 60, seed=5)
     shuffled = list(terms)
     random.Random(5).shuffle(shuffled)
-    # the gate list cancels whole rungs, which is the model's 2 * prefix
-    # only at the default 2 entangling gates per rung
-    per_rung_two = CliffordCostTable(
-        basis_changes_per_qubit=5, diagonal_basis_changes=1
-    )
+    # the gate list cancels whole rungs, entangling_per_rung gates each
+    gate_list_costs = [
+        CliffordCostTable(entangling_per_rung=per_rung, basis_changes_per_qubit=5,
+                          diagonal_basis_changes=1)
+        for per_rung in (1, 2, 3)
+    ]
     for sequence in (terms, shuffled):
         for cost in [CliffordCostTable(), *ODD_COSTS]:
             step = clifford_count_per_step(sequence, cost)
             assert step == scalar_clifford_count_per_step(sequence, cost)
-        for cost in (CliffordCostTable(), per_rung_two):
+        for cost in (CliffordCostTable(), *gate_list_costs):
             step = clifford_count_per_step(sequence, cost)
             entangling, basis = simulate_gate_list(
                 list(sequence) + list(sequence)[::-1], cost

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,13 +14,20 @@ from qsimcost import (
     export_terms,
     hartree_fock_overlap,
     load_molecule,
+    parse_fcidump,
     parse_terms,
     strang_effective_energy,
     strang_error_scan,
     term_matrix,
 )
 
-from oracles import fci_ground, hamiltonian_from_integrals, hf_overlap
+from oracles import (
+    ReferenceStrangEvaluator,
+    fci_ground,
+    hamiltonian_from_integrals,
+    hf_overlap,
+    reference_strang_scan,
+)
 
 # frozen ground energies (core included) and reference-determinant overlaps
 # for the bundled molecules, computed once from the shipped integral files
@@ -39,6 +47,7 @@ HF_OVERLAP = {
 }
 
 MOLECULES = list(FCI_ENERGY)
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def molecule_terms(name):
@@ -350,3 +359,132 @@ def test_empirical_trotter_number_raises_when_unreachable():
     terms = molecule_terms("h2_sto3g")
     with pytest.raises(ValueError, match="extend the grid"):
         empirical_trotter_number(terms, 1e-12, [0.5, 0.25])
+
+
+# ---------------------------------------------------------------------------
+# Batched scan against the per-step reference
+# ---------------------------------------------------------------------------
+
+SCAN_GRID = np.geomspace(1e-3, 0.2, 20)
+
+
+def chain_terms(label):
+    return enumerate_terms(parse_fcidump(FIXTURES / f"{label}.fcidump"))
+
+
+def assert_rows_match(rows, reference):
+    assert len(rows) == len(reference)
+    for row, ref in zip(rows, reference):
+        assert row.t == ref.t
+        assert row.e_fci == ref.e_fci
+        assert row.phase_wrapped == ref.phase_wrapped
+        assert row.empirical_trotter_number == ref.empirical_trotter_number
+        # eigenphases, in radians
+        assert abs(
+            (row.e_effective - row.e_fci) * row.t
+            - (ref.e_effective - ref.e_fci) * ref.t
+        ) <= 1e-13
+        assert abs(row.ground_overlap - ref.ground_overlap) <= 1e-12
+        assert row.unitarity_defect <= 1e-9
+
+
+class _NoSecondMix:
+    def __mul__(self, other):
+        raise AssertionError("a step needed the second eigh")
+
+
+@pytest.mark.parametrize("name", MOLECULES + ["h5p_chain"])
+def test_scan_rows_match_per_step_reference(name, monkeypatch):
+    # the second mix only rescues mirrored phase pairs; these scans find
+    # every real eigenbasis with one eigh per step
+    from qsimcost import oracle
+
+    monkeypatch.setattr(oracle, "_REMIX", _NoSecondMix())
+    terms = chain_terms(name) if name == "h5p_chain" else molecule_terms(name)
+    assert_rows_match(
+        strang_error_scan(terms, SCAN_GRID),
+        reference_strang_scan(terms, SCAN_GRID),
+    )
+
+
+def test_h6_row_matches_per_step_reference():
+    # the 400-state Sz block of the 924-state sector, one step per chunk
+    terms = chain_terms("h6_chain")
+    assert_rows_match(
+        strang_error_scan(terms, [0.2]), reference_strang_scan(terms, [0.2])
+    )
+
+
+def test_full_fock_space_rows_match_per_step_reference():
+    terms = molecule_terms("heh_plus")
+    grid = [0.05, 0.3, 2.0]
+    assert_rows_match(
+        strang_error_scan(terms, grid, particle_sector=None),
+        reference_strang_scan(terms, grid, particle_sector=None),
+    )
+
+
+def test_scan_split_over_chunks_matches_one_chunk(monkeypatch):
+    from qsimcost import oracle
+
+    terms = molecule_terms("h4_chain")
+    whole = strang_error_scan(terms, SCAN_GRID)
+    # three step sizes of the 36-state block per chunk: seven chunks, the
+    # last one partial
+    monkeypatch.setattr(oracle, "_STACK_ENTRIES", 3 * 36 * 36 + 35)
+    split = strang_error_scan(terms, SCAN_GRID)
+    assert len(split) == len(whole) == 20
+    for a, b in zip(split, whole):
+        assert a.t == b.t
+        assert a.phase_wrapped == b.phase_wrapped
+        assert a.e_effective == pytest.approx(b.e_effective, rel=1e-14)
+        assert a.ground_overlap == pytest.approx(b.ground_overlap, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["h4_chain", "h5p_chain"])
+def test_sz_block_actions_equal_replayed_actions(name):
+    # the block's actions come from the sector's by renumbering; replaying
+    # the terms on the block's states gives the same arrays
+    from qsimcost.oracle import _StrangEvaluator
+
+    terms = chain_terms(name) if name == "h5p_chain" else molecule_terms(name)
+    evaluator = _StrangEvaluator(terms)
+    replayed = ReferenceStrangEvaluator(terms)
+    assert np.array_equal(evaluator.states, replayed.states)
+    assert len(evaluator.actions) == len(replayed.actions) == len(terms)
+    for got, want in zip(evaluator.actions, replayed.actions):
+        assert got.term is want.term
+        if want.diagonal is not None:
+            assert np.array_equal(got.diagonal, want.diagonal)
+            assert got.source is None
+            continue
+        assert got.diagonal is None
+        assert np.array_equal(got.source, want.source)
+        assert np.array_equal(got.target, want.target)
+        assert np.array_equal(got.signs, want.signs)
+
+
+def test_mirrored_eigenphases_get_a_second_eigh():
+    # a two-level hop whose two step eigenphases sum to 2 atan(_MIX), since
+    # det U = exp(-i t (a + b)): Re U + _MIX Im U then has a double
+    # eigenvalue, one eigh leaves the two eigenvectors mixed (residual
+    # 0.05), and the second mix separates them
+    from qsimcost.oracle import _MIX
+
+    t, a = 0.1, -6.0
+    b = -2.0 * math.atan(_MIX) / t - a
+    terms = parse_terms(
+        f"PP 1 {a!r}\nPQ 1 3 0.5\nPP 3 {b!r}\n", n_spin_orbitals=4, n_electrons=1
+    )
+    assert_rows_match(
+        strang_error_scan(terms, [t]), reference_strang_scan(terms, [t])
+    )
+
+
+def test_symmetric_unitary_eig_rejects_a_non_symmetric_unitary():
+    # a real rotation is unitary but not symmetric: no real eigenbasis
+    from qsimcost.oracle import _symmetric_unitary_eig
+
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)
+    with pytest.raises(AssertionError, match="residual"):
+        _symmetric_unitary_eig(rotation[None])
