@@ -40,9 +40,7 @@ from .trotter import (
     ErrorConstantEstimate,
     TrotterNumberModel,
     chebyshev_samples,
-    commutator_vanishes,
     estimate_error_constant,
-    nested_commutator_vanishes,
     sampling_variance,
     trotter_number,
     trotter_number_model,

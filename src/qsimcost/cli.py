@@ -10,7 +10,7 @@ tolerance-based comparison fails.
 from __future__ import annotations
 
 import argparse
-import collections
+import functools
 import json
 import math
 import sys
@@ -103,18 +103,16 @@ def _add_fcidump_flags(parser):
 
 
 def _cmd_ingest(args):
-    table = parse_fcidump(args.fcidump)
-    terms = enumerate_terms(table, drop_threshold=args.drop_threshold)
-    per_class = collections.Counter(term.term_class for term in terms)
+    terms = _load_terms(args)
     summary = {
         "source": args.fcidump,
-        "n_spatial": table.n_spatial,
+        "n_spatial": terms.n_spin_orbitals // 2,
         "n_spin_orbitals": terms.n_spin_orbitals,
-        "n_electrons": table.n_electrons,
-        "core_energy": table.core_energy,
+        "n_electrons": terms.n_electrons,
+        "core_energy": terms.core_energy,
         "n_terms": len(terms),
-        "per_class": dict(sorted(per_class.items())),
-        "one_norm": sum(term.norm for term in terms),
+        "per_class": {c: len(p) for c, p in terms.by_class().items() if p},
+        "one_norm": sum(terms.norms.tolist()),
     }
     if args.out:
         with open(args.out, "w") as handle:
@@ -528,9 +526,12 @@ def build_parser():
     return parser
 
 
+# built on the first main() call; parsing leaves a parser as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

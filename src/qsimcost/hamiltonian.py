@@ -62,6 +62,7 @@ _CLASS_CODE = {c: i for i, c in enumerate(TERM_CLASSES)}
 # (index-tuple length, distinct indices) per class
 _SHAPE = {"PP": (1, 1), "PQ": (2, 2), "PQQP": (4, 2), "PQQR": (4, 3), "PQRS": (4, 4)}
 _LENGTH = np.array([_SHAPE[c][0] for c in TERM_CLASSES])
+_DIAGONAL_CODES = [_CLASS_CODE["PP"], _CLASS_CODE["PQQP"]]
 
 _EIGHTFOLD = (
     (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
@@ -192,20 +193,12 @@ class HamiltonianTerm:
     @property
     def creation(self):
         """Creation index pair (ascending) of the representative monomial."""
-        if self.term_class == "PP":
-            return (self.spin_orbitals[0],)
-        if self.term_class == "PQ":
-            return (self.spin_orbitals[0],)
-        return self.spin_orbitals[:2]
+        return self.spin_orbitals[: 1 if self.is_one_body else 2]
 
     @property
     def annihilation(self):
         """Annihilation index pair (ascending) of the representative monomial."""
-        if self.term_class == "PP":
-            return (self.spin_orbitals[0],)
-        if self.term_class == "PQ":
-            return (self.spin_orbitals[1],)
-        return self.spin_orbitals[2:]
+        return self.spin_orbitals[-1 if self.is_one_body else 2 :]
 
     @property
     def hop_endpoints(self):
@@ -214,46 +207,29 @@ class HamiltonianTerm:
         Defined for PQ (the pair itself) and PQQR (the symmetric difference
         of the creation and annihilation pairs); None for other classes.
         """
-        if self.term_class == "PQ":
-            return frozenset(self.spin_orbitals)
-        if self.term_class == "PQQR":
+        if self.term_class in ("PQ", "PQQR"):
             return frozenset(self.creation) ^ frozenset(self.annihilation)
         return None
 
     @property
     def number_indices(self):
         """Indices appearing in both halves (occupation-number factors)."""
-        if self.term_class == "PP":
-            return frozenset(self.spin_orbitals)
-        if self.term_class in ("PQQP", "PQQR"):
-            return frozenset(self.creation) & frozenset(self.annihilation)
-        return frozenset()
+        return frozenset(self.creation) & frozenset(self.annihilation)
 
     @property
     def jw_chain(self):
         """Qubits of the term's Jordan-Wigner string, parity chain included.
 
-        Diagonal terms have no chain beyond their own support. Hopping terms
-        span the closed index range between the endpoints. Four-index terms
-        span two segments, one per creation/annihilation pairing, walking
-        the four indices in ascending order.
+        With the indices in ascending order the chain is the union of two
+        closed ranges: [p, q] twice for a one-body term, and [w1, w2] and
+        [w3, w4] for the four indices w1 <= w2 <= w3 <= w4 of a two-body
+        term. That is the support for diagonal terms, the range between
+        the endpoints (plus the shared index) for hopping terms, and one
+        segment per creation/annihilation pairing for PQRS.
         """
-        cls = self.term_class
-        if cls == "PP":
-            return (self.spin_orbitals[0],)
-        if cls == "PQQP":
-            return tuple(sorted(self.support))
-        if cls == "PQ":
-            p, q = self.spin_orbitals
-            return tuple(range(p, q + 1))
-        if cls == "PQQR":
-            lo, hi = sorted(self.hop_endpoints)
-            (shared,) = self.number_indices
-            chain = set(range(lo, hi + 1))
-            chain.add(shared)
-            return tuple(sorted(chain))
-        w1, w2, w3, w4 = sorted(self.support)
-        return tuple(range(w1, w2 + 1)) + tuple(range(w3, w4 + 1))
+        idx = self.spin_orbitals
+        w1, w2, w3, w4 = (idx[0], idx[-1]) * 2 if self.is_one_body else sorted(idx)
+        return tuple(sorted({*range(w1, w2 + 1), *range(w3, w4 + 1)}))
 
     @property
     def ladder(self):
@@ -265,9 +241,16 @@ class HamiltonianTerm:
         return self.spin_orbitals
 
 
-@dataclasses.dataclass(frozen=True)
 class TermList:
-    """Lexicographically ordered, Hermitian-merged term list.
+    """Hermitian-merged term list in lexicographic canonical-tuple order.
+
+    Stored as read-only columns, one row per merged term: codes (int8, the
+    position in TERM_CLASSES), index ((M, 4) int64, the canonical
+    spin_orbitals left-aligned and zero-padded; indices start at 1, so rows
+    sort like the tuples), coefficients and norms (float64). enumerate_terms
+    fills them directly, TermList(terms=...) derives them from the objects;
+    iteration, indexing and .terms build HamiltonianTerm objects once, on
+    demand.
 
     Attributes:
         terms: tuple of HamiltonianTerm in canonical-tuple order.
@@ -277,27 +260,59 @@ class TermList:
         ordering: label of the ordering rule in force.
     """
 
-    terms: tuple
-    n_spin_orbitals: int
-    n_electrons: int = 0
-    core_energy: float = 0.0
-    ordering: str = "lexicographic"
+    def __init__(self, terms, n_spin_orbitals, n_electrons=0, core_energy=0.0,
+                 ordering="lexicographic"):
+        self._terms = tuple(terms)
+        self._set_columns(*_columns(self._terms), n_spin_orbitals, n_electrons,
+                          core_energy, ordering)
 
-    def __post_init__(self):
-        keys = [t.sort_key() for t in self.terms]
-        if keys != sorted(keys):
+    @classmethod
+    def _from_columns(cls, *args, **kwargs):
+        self = cls.__new__(cls)
+        self._terms = None
+        self._set_columns(*args, **kwargs)
+        return self
+
+    def _set_columns(self, codes, index, coefficients, norms, n_spin_orbitals,
+                     n_electrons=0, core_energy=0.0, ordering="lexicographic"):
+        # the first nonzero step between consecutive rows decides their order
+        step = np.diff(index, axis=0)
+        first = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+        if (first < 0).any():
             raise ValueError("terms are not in lexicographic canonical order")
-        for t in self.terms:
-            if max(t.spin_orbitals, default=1) > self.n_spin_orbitals:
-                raise ValueError(
-                    f"term {t.spin_orbitals} exceeds register of "
-                    f"{self.n_spin_orbitals} spin orbitals"
+        outside = np.flatnonzero(index.max(axis=1, initial=0) > n_spin_orbitals)
+        if len(outside):
+            row = outside[0]
+            raise ValueError(
+                f"term {tuple(index[row, :_LENGTH[codes[row]]].tolist())} "
+                f"exceeds register of {n_spin_orbitals} spin orbitals"
+            )
+        for column in (codes, index, coefficients, norms):
+            column.flags.writeable = False
+        self.codes, self.index = codes, index
+        self.coefficients, self.norms = coefficients, norms
+        self.n_spin_orbitals = n_spin_orbitals
+        self.n_electrons = n_electrons
+        self.core_energy = core_energy
+        self.ordering = ordering
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = tuple(
+                HamiltonianTerm(TERM_CLASSES[code], tuple(row[:length]), c, n)
+                for code, length, row, c, n in zip(
+                    self.codes.tolist(), _LENGTH[self.codes].tolist(),
+                    self.index.tolist(), self.coefficients.tolist(),
+                    self.norms.tolist(),
                 )
+            )
+        return self._terms
 
     @property
     def m(self):
         """Number of merged terms (one per Hermitian-conjugate pair)."""
-        return len(self.terms)
+        return len(self.codes)
 
     @property
     def m_unmerged(self):
@@ -306,10 +321,10 @@ class TermList:
         Self-adjoint terms (PP, PQQP) count once; every off-diagonal merged
         term stands for two conjugate monomials.
         """
-        return sum(1 if t.is_diagonal else 2 for t in self.terms)
+        return 2 * self.m - int(np.isin(self.codes, _DIAGONAL_CODES).sum())
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.terms)
@@ -317,12 +332,45 @@ class TermList:
     def __getitem__(self, i):
         return self.terms[i]
 
+    def _state(self):
+        return (self.codes, self.index, self.coefficients, self.norms,
+                self.n_spin_orbitals, self.n_electrons, self.core_energy,
+                self.ordering)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, self._state(), other._state()))
+
+    def __hash__(self):
+        return hash((self.terms, *self._state()[4:]))
+
+    def __repr__(self):
+        return (
+            f"TermList(terms={self.terms!r}, n_spin_orbitals="
+            f"{self.n_spin_orbitals!r}, n_electrons={self.n_electrons!r}, "
+            f"core_energy={self.core_energy!r}, ordering={self.ordering!r})"
+        )
+
     def by_class(self):
         """Map from class name to the list positions holding that class."""
-        out = {c: [] for c in TERM_CLASSES}
-        for i, t in enumerate(self.terms):
-            out[t.term_class].append(i)
-        return out
+        return {
+            c: np.flatnonzero(self.codes == i).tolist()
+            for i, c in enumerate(TERM_CLASSES)
+        }
+
+
+def _columns(terms):
+    """Columns (codes, index, coefficients, norms) of terms, in their order."""
+    m = len(terms)
+    codes = np.fromiter((_CLASS_CODE[t.term_class] for t in terms), np.int8, m)
+    index = np.zeros((m, 4), dtype=np.int64)
+    index[np.arange(4) < _LENGTH[codes][:, None]] = np.fromiter(
+        (so for t in terms for so in t.spin_orbitals), np.int64
+    )
+    coefficients = np.fromiter((t.coefficient for t in terms), float, m)
+    norms = np.fromiter((t.norm for t in terms), float, m)
+    return codes, index, coefficients, norms
 
 
 # ---------------------------------------------------------------------------
@@ -438,21 +486,16 @@ def write_fcidump(table, destination):
     def emit(value, p, q, r, s):
         lines.append(f"  {value: .16E} {p:4d} {q:4d} {r:4d} {s:4d}")
 
-    for p in range(1, n + 1):
-        for q in range(1, p + 1):
-            pq = p * (p + 1) // 2 + q
-            for r in range(1, n + 1):
-                for s in range(1, r + 1):
-                    if r * (r + 1) // 2 + s > pq:
-                        continue
-                    value = table.two_body[p - 1, q - 1, r - 1, s - 1]
-                    if value != 0.0:
-                        emit(value, p, q, r, s)
-    for p in range(1, n + 1):
-        for q in range(1, p + 1):
-            value = table.one_body[p - 1, q - 1]
-            if value != 0.0:
-                emit(value, p, q, 0, 0)
+    # (p, q, r, s) with q <= p, s <= r and pair number rs <= pq, 1-based, in
+    # row-major order
+    lower = np.tri(n, dtype=bool)
+    orbital = np.arange(1, n + 1)
+    pair = orbital[:, None] * (orbital[:, None] + 1) // 2 + orbital
+    canonical = lower[:, :, None, None] & lower & (pair <= pair[:, :, None, None])
+    for p, q, r, s in zip(*np.nonzero(canonical & (table.two_body != 0.0))):
+        emit(table.two_body[p, q, r, s], p + 1, q + 1, r + 1, s + 1)
+    for p, q in zip(*np.nonzero(lower & (table.one_body != 0.0))):
+        emit(table.one_body[p, q], p + 1, q + 1, 0, 0)
     emit(table.core_energy, 0, 0, 0, 0)
 
     text = "\n".join(lines) + "\n"
@@ -487,8 +530,11 @@ def enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):
     against annihilation pair, in lexicographic order, kept where the two
     pairs carry the same number of down spins; both integrals are gathered
     from the spatial table under their spin masks, so no spin-orbital
-    tensor is built. Terms are only constructed for the candidates that
-    survive the threshold, classified by their number of distinct indices.
+    tensor is built. The candidates that survive the threshold are
+    classified by their number of distinct indices. The one-body terms come
+    from the upper triangle of the one-body table in the same way. Both
+    parts are columns (see TermList), put in canonical order by one
+    np.lexsort of the index rows; no HamiltonianTerm is built.
 
     Args:
         table: IntegralTable with chemist-notation integrals.
@@ -506,38 +552,21 @@ def enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):
             raise ValueError(f"unknown term classes in norm_multipliers: {sorted(unknown)}")
         multipliers.update(norm_multipliers)
 
-    n_sp = table.n_spatial
-    n_so = 2 * n_sp
-    h1 = table.one_body
+    n_so = 2 * table.n_spatial
     v2 = table.two_body
-    terms = []
 
-    def add(term_class, spin_orbitals, coefficient):
-        if abs(coefficient) <= drop_threshold:
-            return
-        terms.append(
-            HamiltonianTerm(
-                term_class=term_class,
-                spin_orbitals=tuple(spin_orbitals),
-                coefficient=float(coefficient),
-                norm=abs(float(coefficient)) * multipliers[term_class],
-            )
-        )
+    def kept(w):
+        return (w != 0.0) & ~(np.abs(w) <= drop_threshold)
 
-    # one-body terms: h_pq is spin diagonal, so both indices share a spin
-    for p in range(1, n_sp + 1):
-        for q in range(p, n_sp + 1):
-            value = h1[p - 1, q - 1]
-            if value == 0.0:
-                continue
-            for spin_offset in (1, 2):  # 2p-1 up, 2p down
-                i = 2 * p - 2 + spin_offset
-                j = 2 * q - 2 + spin_offset
-                if i == j:
-                    add("PP", (i,), value)
-                else:
-                    add("PQ", (i, j), value)
-
+    # one-body terms over 0-based spatial p <= q: h_pq is spin diagonal, so
+    # it acts on 1-based spin orbitals (2p+1, 2q+1) (up) and (2p+2, 2q+2)
+    # (down), as a PP term (2p+1,) when p == q and a PQ term otherwise
+    p, q = np.triu_indices(table.n_spatial)
+    h1 = table.one_body[p, q]
+    keep = kept(h1)
+    p, q, h1 = p[keep], q[keep], h1[keep]
+    up = np.stack([2 * p + 1, np.where(p == q, 0, 2 * q + 1), 0 * p, 0 * p], 1)
+    one_code = np.where(p == q, _CLASS_CODE["PP"], _CLASS_CODE["PQ"])
     # two-body terms, 0-based here: spin orbital x is spatial x // 2 with
     # spin x % 2. Creation pair (i, k) meets annihilation pairs (j, l) from
     # itself on; the mirrored orientation is the Hermitian conjugate
@@ -552,38 +581,21 @@ def enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):
     direct = np.where(i % 2 == j % 2, v2[i // 2, j // 2, k // 2, l // 2], 0.0)
     exchange = np.where(i % 2 == l % 2, v2[i // 2, l // 2, k // 2, j // 2], 0.0)
     w = direct - exchange
-    keep = (w != 0.0) & ~(np.abs(w) <= drop_threshold)
-    index = np.stack([i, k, j, l], axis=1)[keep] + 1
-    i, k, j, l = index.T
-    distinct = 4 - (i == j).astype(int) - (i == l) - (k == j) - (k == l)
-    for idx, value, d in zip(index.tolist(), w[keep].tolist(), distinct.tolist()):
-        term_class = TERM_CLASSES[d]  # 2, 3, 4 distinct -> PQQP, PQQR, PQRS
-        norm = abs(value) * multipliers[term_class]
-        terms.append(HamiltonianTerm(term_class, tuple(idx), value, norm))
+    keep = kept(w)
+    two_index = np.stack([i, k, j, l], axis=1)[keep] + 1
+    i, k, j, l = two_index.T
+    # 2, 3, 4 distinct indices are the codes of PQQP, PQQR, PQRS
+    distinct = 4 - (i == j).astype(np.int8) - (i == l) - (k == j) - (k == l)
 
-    terms.sort(key=HamiltonianTerm.sort_key)
-    return TermList(
-        terms=tuple(terms),
-        n_spin_orbitals=n_so,
-        n_electrons=table.n_electrons,
-        core_energy=table.core_energy,
+    index = np.concatenate([up, up + (up > 0), two_index])
+    order = np.lexsort(index.T[::-1])
+    codes = np.concatenate([one_code, one_code, distinct]).astype(np.int8)[order]
+    coefficients = np.concatenate([h1, h1, w[keep]])[order]
+    scale = np.array([multipliers[c] for c in TERM_CLASSES], dtype=float)
+    return TermList._from_columns(
+        codes, index[order], coefficients, np.abs(coefficients) * scale[codes],
+        n_so, table.n_electrons, table.core_energy,
     )
-
-
-def _term_table(terms):
-    """Class codes and zero-padded index rows of a re-iterable term sequence.
-
-    Returns (codes, index): codes is int8 in TERM_CLASSES order, index an
-    (M, 4) int64 array holding each term's spin_orbitals left-aligned with
-    zeros after them (canonical indices start at 1, so 0 is never an index).
-    """
-    m = len(terms)
-    codes = np.fromiter((_CLASS_CODE[t.term_class] for t in terms), np.int8, m)
-    index = np.zeros((m, 4), dtype=np.int64)
-    index[np.arange(4) < _LENGTH[codes][:, None]] = np.fromiter(
-        (so for t in terms for so in t.spin_orbitals), np.int64
-    )
-    return codes, index
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +666,15 @@ def clifford_count_per_step(terms, cost_table=None):
     term, so its ladder cancels completely).
 
     Closed form: each term's chain (HamiltonianTerm.jw_chain) is a row of
-    a boolean membership matrix built from two index ranges per term, and
-    its width w is the row sum. Two consecutive chains agree on their
-    first k qubits, where k counts the set bits of the earlier row before
-    the first column in which the rows differ (all of them when none
-    does); their ladders then share max(k - 1, 0) rungs. The reverse pass
-    repeats the forward junctions mirrored, and the turnaround cancels
-    w_last - 1 rungs, so every quantity is an integer sum over rows.
+    a boolean membership matrix built from two index ranges per term, read
+    off the TermList's class codes and index table (a plain iterable is
+    converted to those columns first), and its width w is the row sum. Two
+    consecutive chains agree on their first k qubits, where k counts the
+    set bits of the earlier row before the first column in which the rows
+    differ (all of them when none does); their ladders then share
+    max(k - 1, 0) rungs. The reverse pass repeats the forward junctions
+    mirrored, and the turnaround cancels w_last - 1 rungs, so every
+    quantity is an integer sum over rows.
 
     Args:
         terms: TermList (or any iterable of HamiltonianTerm in step order).
@@ -670,13 +684,16 @@ def clifford_count_per_step(terms, cost_table=None):
         CliffordStepCount for a single step.
     """
     table = cost_table or CliffordCostTable()
-    sequence = list(terms)
-    if not sequence:
+    if isinstance(terms, TermList):
+        codes, index = terms.codes, terms.index
+    else:
+        codes, index, _, _ = _columns(tuple(terms))
+    m = len(codes)
+    if not m:
         return CliffordStepCount(entangling=0, basis_changes=0, rotations=0)
-    codes, index = _term_table(sequence)
     chain = _chain_membership(codes, index)
     width = chain.sum(axis=1)
-    diagonal = (codes == _CLASS_CODE["PP"]) | (codes == _CLASS_CODE["PQQP"])
+    diagonal = np.isin(codes, _DIAGONAL_CODES)
 
     # every term appears twice in the forward-plus-reverse sequence
     entangling = 2 * table.entangling_per_rung * int((width - 1).sum())
@@ -685,11 +702,11 @@ def clifford_count_per_step(terms, cost_table=None):
         + table.basis_changes_per_qubit * int(width[~diagonal].sum())
     )
     if table.cancel_adjacent_ladders:
-        differ = np.ones((len(sequence) - 1, chain.shape[1] + 1), dtype=bool)
+        differ = np.ones((m - 1, chain.shape[1] + 1), dtype=bool)
         differ[:, :-1] = chain[:-1] != chain[1:]
-        before = np.zeros((len(sequence), chain.shape[1] + 1), dtype=np.int64)
+        before = np.zeros((m, chain.shape[1] + 1), dtype=np.int64)
         np.cumsum(chain, axis=1, out=before[:, 1:])
-        shared = before[np.arange(len(sequence) - 1), differ.argmax(axis=1)]
+        shared = before[np.arange(m - 1), differ.argmax(axis=1)]
         forward = int(np.maximum(shared - 1, 0).sum())
         entangling -= table.entangling_per_rung * (
             2 * forward + int(width[-1]) - 1
@@ -697,7 +714,7 @@ def clifford_count_per_step(terms, cost_table=None):
     return CliffordStepCount(
         entangling=entangling,
         basis_changes=basis,
-        rotations=2 * len(sequence),
+        rotations=2 * m,
     )
 
 

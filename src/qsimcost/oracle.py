@@ -119,14 +119,9 @@ class _TermAction:
     @staticmethod
     def _operator_sequence(term):
         """Right-to-left elementary operators of the representative monomial."""
-        if term.is_one_body:
-            if term.term_class == "PP":
-                (p,) = term.spin_orbitals
-                return [("-", p), ("+", p)]
-            p, q = term.spin_orbitals
-            return [("-", q), ("+", p)]
-        c1, c2, a1, a2 = term.spin_orbitals
-        return [("-", a1), ("-", a2), ("+", c2), ("+", c1)]
+        return [("-", a) for a in term.annihilation] + [
+            ("+", c) for c in term.creation[::-1]
+        ]
 
     def add_to(self, matrix):
         """Accumulate the merged Hermitian term into a dense matrix."""

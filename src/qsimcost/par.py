@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from .hamiltonian import TermList
+
 __all__ = [
     "ParParams",
     "par_expected_rotations",
@@ -149,26 +151,41 @@ def simulate_par_factory_time(params, trials=10**6, seed=0):
     return float(periods.mean()), float(periods.std(ddof=1) / math.sqrt(trials))
 
 
+def _support_masks(terms):
+    """Python-int support masks, bit so - 1 for spin orbital so; a TermList's
+    come from its index table, one 64-bit word at a time, at any width."""
+    if not isinstance(terms, TermList):
+        return [sum(1 << (so - 1) for so in term.support) for term in terms]
+    bit = terms.index - 1  # the zero padding becomes -1, in no word
+    one = np.uint64(1) << (bit % 64).astype(np.uint64)
+    words = []
+    for k in range(int(bit.max(initial=-1)) // 64 + 1):
+        word = np.where(bit // 64 == k, one, np.uint64(0))
+        words.append(np.bitwise_or.reduce(word, axis=1).tolist())
+    masks = words.pop() if words else []
+    for word in reversed(words):
+        masks = [mask << 64 | w for mask, w in zip(masks, word)]
+    return masks
+
+
 def nesting_batches(terms):
     """Greedy consecutive batches of pairwise-disjoint-support terms.
 
     Terms are processed in the given order; a batch closes as soon as the
-    next term touches a spin orbital already used in the batch. Returns a
-    list of batch sizes.
+    next term touches a spin orbital already used in the batch. Takes a
+    TermList or any iterable of terms with a support set; returns a list of
+    batch sizes.
     """
+    masks = _support_masks(terms)
     sizes = []
-    used = set()
-    current = 0
-    for term in terms:
-        support = term.support
-        if used & support:
-            sizes.append(current)
-            used = set()
-            current = 0
-        used |= support
-        current += 1
-    if current:
-        sizes.append(current)
+    used = start = 0
+    for position, mask in enumerate(masks):
+        if used & mask:
+            sizes.append(position - start)
+            used, start = 0, position
+        used |= mask
+    if masks:
+        sizes.append(len(masks) - start)
     return sizes
 
 

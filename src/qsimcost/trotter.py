@@ -41,17 +41,16 @@ deterministic sum up to summation order.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 
-from .hamiltonian import TERM_CLASSES, _term_table
+from .hamiltonian import _DIAGONAL_CODES, TERM_CLASSES
 
 __all__ = [
     "ErrorConstantEstimate",
     "TrotterNumberModel",
-    "commutator_vanishes",
-    "nested_commutator_vanishes",
     "estimate_error_constant",
     "sampling_variance",
     "chebyshev_samples",
@@ -60,44 +59,7 @@ __all__ = [
 ]
 
 _MAX_MASK_BITS = 64
-_HOPPING = ("PQ", "PQQR")
-_HOPPING_CODES = [TERM_CLASSES.index(c) for c in _HOPPING]
-_DIAGONAL_CODES = [TERM_CLASSES.index(c) for c in ("PP", "PQQP")]
-
-
-# ---------------------------------------------------------------------------
-# Scalar vanishing rules (reference path)
-# ---------------------------------------------------------------------------
-
-def commutator_vanishes(term_b, term_c):
-    """True when [H_b, H_c] = 0 is certified by rules 1, 3, or 4."""
-    if not (term_b.support & term_c.support):
-        return True
-    if term_b.is_diagonal and term_c.is_diagonal:
-        return True
-    if (
-        term_b.term_class in _HOPPING
-        and term_c.term_class in _HOPPING
-        and term_b.hop_endpoints == term_c.hop_endpoints
-    ):
-        return True
-    return False
-
-
-def _outer_vanishes(term_a, term_b, term_c):
-    """Rules 1-4 on [H_a, [H_b, H_c]] without the Jacobi rearrangement."""
-    if commutator_vanishes(term_b, term_c):
-        return True
-    return not (term_a.support & (term_b.support | term_c.support))
-
-
-def nested_commutator_vanishes(term_a, term_b, term_c):
-    """True when [H_a, [H_b, H_c]] = 0 is certified by rules 1-5."""
-    if _outer_vanishes(term_a, term_b, term_c):
-        return True
-    return _outer_vanishes(term_b, term_c, term_a) and _outer_vanishes(
-        term_c, term_a, term_b
-    )
+_HOPPING_CODES = [TERM_CLASSES.index(c) for c in ("PQ", "PQQR")]
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +69,11 @@ def nested_commutator_vanishes(term_a, term_b, term_c):
 class _TermArrays:
     """Per-term masks and weights packed for vectorized triple evaluation.
 
-    Built from the term table of hamiltonian._term_table: bit so-1 of a
-    mask stands for spin orbital so. support ORs the bits of a term's
-    indices (the zero padding sets none); hop XORs them on PQ and PQQR
-    terms, where the shared index of a PQQR cancels and leaves its two
-    hop endpoints.
+    Read from the TermList's columns (class codes, the zero-padded (M, 4)
+    index table and norms): bit so-1 of a mask stands for spin orbital so.
+    support ORs the bits of a term's indices (the zero padding sets none);
+    hop XORs them on PQ and PQQR terms, where the shared index of a PQQR
+    cancels and leaves its two hop endpoints.
     """
 
     def __init__(self, terms):
@@ -120,9 +82,9 @@ class _TermArrays:
                 f"triple evaluation packs supports into {_MAX_MASK_BITS}-bit "
                 f"masks; {terms.n_spin_orbitals} spin orbitals exceed that"
             )
-        codes, index = _term_table(terms)
+        codes, index = terms.codes, terms.index
         self.m = len(codes)
-        self.norm = np.fromiter((t.norm for t in terms), float, self.m)
+        self.norm = terms.norms
         bits = np.where(
             index > 0,
             np.uint64(1) << np.maximum(index - 1, 0).astype(np.uint64),
@@ -184,28 +146,15 @@ class ErrorConstantEstimate:
         return self.std_error / self.value if self.value else 0.0
 
 
-def _class_positions(arrays):
-    return [np.nonzero(arrays.class_code == i)[0] for i in range(len(TERM_CLASSES))]
-
-
 def _strata(arrays):
     """Nonempty ordered class triples with their member index arrays."""
-    positions = _class_positions(arrays)
-    out = []
-    for ia, name_a in enumerate(TERM_CLASSES):
-        if len(positions[ia]) == 0:
-            continue
-        for ib, name_b in enumerate(TERM_CLASSES):
-            if len(positions[ib]) == 0:
-                continue
-            for ic, name_c in enumerate(TERM_CLASSES):
-                if len(positions[ic]) == 0:
-                    continue
-                out.append(
-                    ((name_a, name_b, name_c), positions[ia], positions[ib],
-                     positions[ic])
-                )
-    return out
+    positions = [np.flatnonzero(arrays.class_code == i)
+                 for i in range(len(TERM_CLASSES))]
+    present = [i for i, pos in enumerate(positions) if len(pos)]
+    return [
+        (tuple(TERM_CLASSES[i] for i in key), *(positions[i] for i in key))
+        for key in itertools.product(present, repeat=3)
+    ]
 
 
 def _gated_blocks(arrays):
@@ -266,46 +215,48 @@ def _stratified(arrays, samples_per_stratum, seed):
 
     Strata of at most samples_per_stratum triples are enumerated; every
     other stratum draws samples_per_stratum triples from its own Philox
-    stream. All triples are scored by one gamma call, and each stratum's
-    sum, mean and variance are taken over its contiguous slice.
+    stream. All triples are scored by one gamma call with the S sampled
+    strata first, so their draws form one (S, n) block whose row-wise mean
+    and variance are each stratum's; an enumerated stratum sums its slice
+    of the rest.
     """
+    n = samples_per_stratum
     strata = _strata(arrays)
-    draws = []
-    for index, (_, pos_a, pos_b, pos_c) in enumerate(strata):
-        if len(pos_a) * len(pos_b) * len(pos_c) <= samples_per_stratum:
-            grids = np.meshgrid(pos_a, pos_b, pos_c, indexing="ij")
-            draws.append([grid.ravel() for grid in grids])
+    sampled, enumerated = [], []
+    for index, (_, *positions) in enumerate(strata):
+        if math.prod(map(len, positions)) <= n:
+            grids = np.meshgrid(*positions, indexing="ij")
+            enumerated.append([grid.ravel() for grid in grids])
             continue
         # one independent stream per stratum, stable under reallocation
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,)))
         )
-        n = samples_per_stratum
-        draws.append(
-            [pos[rng.integers(0, len(pos), n)] for pos in (pos_a, pos_b, pos_c)]
-        )
-    gam_all = arrays.gamma(*(np.concatenate(column) for column in zip(*draws)))
+        sampled.append([pos[rng.integers(0, len(pos), n)] for pos in positions])
+    gam_all = arrays.gamma(
+        *(np.concatenate(column) for column in zip(*sampled, *enumerated))
+    )
+    block = gam_all[: len(sampled) * n].reshape(len(sampled), n)
+    means = iter(block.mean(axis=1).tolist())
+    variances = iter(
+        block.var(axis=1, ddof=1).tolist() if n > 1 else [0.0] * len(sampled)
+    )
 
     total = 0.0
     variance = 0.0
-    drawn = 0
     per_stratum = {}
-    stop = 0
-    for (key, pos_a, pos_b, pos_c), (a, _, _) in zip(strata, draws):
-        start, stop = stop, stop + len(a)
-        gam = gam_all[start:stop]
-        cube = len(pos_a) * len(pos_b) * len(pos_c)
-        if cube <= samples_per_stratum:
-            contribution = float(gam.sum())
+    stop = block.size
+    for key, *positions in strata:
+        cube = math.prod(map(len, positions))
+        if cube <= n:
+            start, stop = stop, stop + cube
+            contribution = float(gam_all[start:stop].sum())
         else:
-            n = samples_per_stratum
-            contribution = cube * float(gam.mean())
-            var = float(gam.var(ddof=1)) if n > 1 else 0.0
-            variance += cube * cube * var / n
-            drawn += n
+            contribution = cube * next(means)
+            variance += cube * cube * next(variances) / n
         per_stratum[key] = contribution
         total += contribution
-    return total, math.sqrt(variance), drawn, per_stratum
+    return total, math.sqrt(variance), n * len(sampled), per_stratum
 
 
 def _uniform(arrays, samples, seed):
@@ -337,6 +288,10 @@ def estimate_error_constant(terms, method="exhaustive", samples_per_stratum=200,
 
     Returns:
         ErrorConstantEstimate.
+
+    Raises:
+        ValueError: h or its standard error is not finite, or, for the
+            sampled methods, 4 n^3 overflows for the largest term norm n.
     """
     arrays = _TermArrays(terms)
     if arrays.m == 0:
@@ -344,6 +299,16 @@ def estimate_error_constant(terms, method="exhaustive", samples_per_stratum=200,
             value=0.0, method=method, std_error=0.0, samples=0, population=0,
             per_stratum={}, seed=None,
         )
+    if method in ("stratified", "uniform"):
+        # the draws can miss every triple whose summand overflows, so a
+        # sampled h is refused whenever the largest summand could
+        largest = float(arrays.norm.max())
+        if not math.isfinite(4.0 * largest * largest * largest):
+            raise ValueError(
+                f"error constant h overflows float64 (4 n^3 = inf for the "
+                f"largest term norm {largest:g}); a sampled estimate can miss "
+                "the triples that carry it"
+            )
     # a norm near the float64 limit overflows 4 n_a n_b n_c; that is
     # reported below as a non-finite h instead of a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):

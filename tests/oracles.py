@@ -14,9 +14,10 @@ the package's term enumeration, matrix builder, or cost formulas:
   objects and scores points with the scalar evaluate_cost, whose formula
   test_costs.py pins against 50-digit arithmetic.
 * the former per-term loops of the FCIDUMP term path, the reference for
-  its array kernels: the two-body enumeration loop, the Clifford count
-  over jw_chain ladders, the mask packing loop of the triple evaluator and
-  the per-stratum sampling loop. These also lean on the package: they
+  its array kernels: the enumeration loops, the Clifford count over
+  jw_chain ladders, the scalar vanishing rules and the mask packing loop
+  of the triple evaluator, the per-stratum sampling loop and the nesting
+  packer over support sets. These also lean on the package: they
   build HamiltonianTerm and TermList objects, read the public jw_chain
   and ladder properties, and score triples with the evaluator's gamma.
   random_canonical_terms draws synthetic term lists of any register width
@@ -529,6 +530,36 @@ def scalar_clifford_count_per_step(terms, cost_table=None):
     )
 
 
+def commutator_vanishes(term_b, term_c):
+    """True when [H_b, H_c] = 0 is certified by rules 1, 3, or 4."""
+    if not (term_b.support & term_c.support):
+        return True
+    if term_b.is_diagonal and term_c.is_diagonal:
+        return True
+    hopping = ("PQ", "PQQR")
+    return (
+        term_b.term_class in hopping
+        and term_c.term_class in hopping
+        and term_b.hop_endpoints == term_c.hop_endpoints
+    )
+
+
+def outer_vanishes(term_a, term_b, term_c):
+    """Rules 1-4 on [H_a, [H_b, H_c]] without the Jacobi rearrangement."""
+    if commutator_vanishes(term_b, term_c):
+        return True
+    return not (term_a.support & (term_b.support | term_c.support))
+
+
+def nested_commutator_vanishes(term_a, term_b, term_c):
+    """True when [H_a, [H_b, H_c]] = 0 is certified by rules 1-5."""
+    if outer_vanishes(term_a, term_b, term_c):
+        return True
+    return outer_vanishes(term_b, term_c, term_a) and outer_vanishes(
+        term_c, term_a, term_b
+    )
+
+
 def scalar_term_arrays(terms):
     """The triple evaluator's per-term arrays, packed one term at a time."""
     m = len(terms)
@@ -592,6 +623,24 @@ def scalar_stratified(arrays, samples_per_stratum, seed):
         variance += cube * cube * var / n
         drawn += n
     return total, math.sqrt(variance), drawn, per_stratum
+
+
+def scalar_nesting_batches(terms):
+    """nesting_batches over the terms' frozenset supports, one at a time."""
+    sizes = []
+    used = set()
+    current = 0
+    for term in terms:
+        support = term.support
+        if used & support:
+            sizes.append(current)
+            used = set()
+            current = 0
+        used |= support
+        current += 1
+    if current:
+        sizes.append(current)
+    return sizes
 
 
 def apply_term_exponential(action, time_slice, matrix):

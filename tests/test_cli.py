@@ -6,7 +6,8 @@ import warnings
 
 import pytest
 
-from qsimcost.cli import main
+from qsimcost import load_molecule, write_fcidump
+from qsimcost.cli import build_parser, main
 
 _DATA = importlib.resources.files("qsimcost.data")
 H2 = str(_DATA.joinpath("h2_sto3g.fcidump"))
@@ -116,6 +117,29 @@ def test_overflowing_error_constant_is_named(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: error constant h overflows")
+
+
+@pytest.mark.parametrize("method", [
+    ("--method", "uniform", "--samples", "100"),
+    ("--method", "stratified"),
+])
+def test_sampled_error_constant_refuses_an_overflowing_summand(
+    tmp_path, capsys, method
+):
+    # 100 uniform draws miss every triple through the 1e300 (11|11) term and
+    # used to report a finite h; a sampled h is refused once 4 n^3 overflows
+    table = load_molecule("h4_chain")
+    table.set_two_body(1, 1, 1, 1, 1e300)
+    path = tmp_path / "huge.fcidump"
+    write_fcidump(table, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "trotter-bound", "--fcidump", str(path), *method
+        )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: error constant h overflows float64")
 
 
 @pytest.mark.parametrize("value, wrapped", [("1.0E+40", 20), ("1.0E+15", 0)])
@@ -422,3 +446,11 @@ def test_report_validation_errors(tmp_path, capsys):
     config.write_text(json.dumps({"structure": "struct-1", "strategies": []}))
     code, _, err = run(capsys, "report", "--config", str(config))
     assert code == 2
+
+
+def test_main_reuses_one_parser_without_carrying_state(capsys):
+    assert build_parser() is not build_parser()
+    before = run_json(capsys, "physical", "--p", "1e-3")
+    # the topological run sets --inject on its own namespace only
+    run_json(capsys, "physical", "--p", "1e-3", "--scenario", "topological")
+    assert run_json(capsys, "physical", "--p", "1e-3") == before

@@ -20,6 +20,8 @@ from qsimcost import (
     write_fcidump,
 )
 
+from qsimcost.hamiltonian import TERM_CLASSES
+
 from oracles import (
     random_canonical_terms,
     scalar_clifford_count_per_step,
@@ -313,6 +315,36 @@ def test_enumeration_matches_scalar_reference(name, options):
     want = scalar_enumerate_terms(table, **options)
     assert got == want
     assert repr(got) == repr(want)  # bit for bit, signed zeros included
+
+
+@pytest.mark.parametrize("name", MOLECULES + CHAINS + ("h10_chain",))
+def test_column_built_terms_match_scalar_reference_term_for_term(name):
+    table = integrals(name)
+    got = enumerate_terms(table)
+    want = scalar_enumerate_terms(table).terms  # HamiltonianTerm objects
+
+    def fields(term):
+        return (term.term_class, term.spin_orbitals, term.coefficient, term.norm)
+
+    assert [fields(t) for t in got] == [fields(t) for t in want]
+    assert repr(got.terms) == repr(want)  # signed zeros and types included
+    # the columns hold the same rows, zero-padded to four indices
+    assert got.codes.dtype == np.int8
+    assert got.codes.tolist() == [TERM_CLASSES.index(t.term_class) for t in want]
+    assert got.index.tolist() == [
+        [*t.spin_orbitals, *[0] * (4 - len(t.spin_orbitals))] for t in want
+    ]
+    assert got.coefficients.tolist() == [t.coefficient for t in want]
+    assert got.norms.tolist() == [t.norm for t in want]
+    assert got.m_unmerged == sum(1 if t.is_diagonal else 2 for t in want)
+    assert got.by_class() == {
+        c: [i for i, t in enumerate(want) if t.term_class == c]
+        for c in TERM_CLASSES
+    }
+    # the object-built list derives the same columns
+    assert TermList(terms=want, n_spin_orbitals=got.n_spin_orbitals,
+                    n_electrons=got.n_electrons,
+                    core_energy=got.core_energy) == got
 
 
 def test_enumeration_of_random_dense_integrals_matches_scalar_reference():

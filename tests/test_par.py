@@ -1,5 +1,7 @@
 import math
+import pathlib
 import random
+import types
 
 import numpy as np
 import pytest
@@ -17,11 +19,20 @@ from qsimcost import (
     par_factory_time_per_rotation,
     par_rotation_factories,
     par_rotation_factories_linear_bound,
+    parse_fcidump,
     simulate_par_factory_time,
     simulate_par_rotations,
 )
 
-from oracles import brute_force_interval_packing
+from oracles import (
+    brute_force_interval_packing,
+    random_canonical_terms,
+    scalar_nesting_batches,
+)
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+MOLECULES = ("h2_sto3g", "h2_stretched", "heh_plus", "h3_plus", "h4_chain")
+CHAINS = ("h5p_chain", "h6_chain", "h8_chain", "h10_chain")
 
 MC_GRID_N = (1, 2, 5, 9)
 MC_GRID_M = (1, 2, 10, 100)
@@ -226,27 +237,30 @@ def test_nesting_batches_respect_order():
     assert nesting_batches(terms) == [2, 2]
 
 
-def greedy_reference(supports):
-    sizes = []
-    used = set()
-    count = 0
-    for support in supports:
-        if used & support:
-            sizes.append(count)
-            used, count = set(), 0
-        used |= support
-        count += 1
-    if count:
-        sizes.append(count)
-    return sizes
-
-
 def test_nesting_greedy_matches_reference_on_molecule():
     terms = enumerate_terms(load_molecule("h4_chain"))
     sizes = nesting_batches(terms)
-    assert sizes == greedy_reference([set(t.support) for t in terms])
+    assert sizes == scalar_nesting_batches(terms)
     assert sum(sizes) == len(terms)
     assert nesting_parallelism(terms) >= 1.0
+
+
+@pytest.mark.parametrize("source", [*MOLECULES, *CHAINS, 65, 128])
+def test_nesting_batches_match_the_support_set_reference(source):
+    # integer sources are random lists over registers past one 64-bit word
+    if source in MOLECULES:
+        terms = enumerate_terms(load_molecule(source))
+    elif source in CHAINS:
+        terms = enumerate_terms(parse_fcidump(FIXTURES / f"{source}.fcidump"))
+    else:
+        terms = random_canonical_terms(source, 300, seed=source)
+        assert terms.index.max() > 64
+    want = scalar_nesting_batches(terms)
+    assert nesting_batches(terms) == want
+    # plain iterables of HamiltonianTerm pack from their support sets
+    assert nesting_batches(list(terms)) == want
+    assert nesting_batches(iter(terms)) == want
+    assert sum(want) == len(terms)
 
 
 def test_nesting_greedy_is_optimal_interval_packing():
@@ -261,7 +275,9 @@ def test_nesting_greedy_is_optimal_interval_packing():
             while b == a:
                 b = rng.randint(1, 20)
             supports.append(frozenset((a, b)))
-        sizes = greedy_reference([set(s) for s in supports])
+        sizes = scalar_nesting_batches(
+            types.SimpleNamespace(support=s) for s in supports
+        )
         assert len(sizes) == brute_force_interval_packing(supports)
 
 

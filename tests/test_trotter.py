@@ -10,22 +10,23 @@ from qsimcost import (
     TermList,
     TrotterNumberModel,
     chebyshev_samples,
-    commutator_vanishes,
     enumerate_terms,
     estimate_error_constant,
     load_molecule,
-    nested_commutator_vanishes,
     parse_fcidump,
     sampling_variance,
     term_matrix,
     trotter_number,
     trotter_number_model,
 )
-from qsimcost.trotter import _outer_vanishes, _TermArrays
+from qsimcost.trotter import _TermArrays
 
 from oracles import (
+    commutator_vanishes,
     exhaustive_error_constant,
     exhaustive_error_constant_by_key,
+    nested_commutator_vanishes,
+    outer_vanishes,
     random_canonical_terms,
     scalar_stratified,
     scalar_term_arrays,
@@ -133,7 +134,7 @@ def test_every_rule_fires_somewhere():
             for tc in terms:
                 if commutator_vanishes(tb, tc):
                     continue
-                if _outer_vanishes(ta, tb, tc):
+                if outer_vanishes(ta, tb, tc):
                     detached += 1
                 elif nested_commutator_vanishes(ta, tb, tc):
                     jacobi_only += 1
