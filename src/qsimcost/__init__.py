@@ -26,24 +26,18 @@ from .hamiltonian import (
     write_fcidump,
 )
 from .oracle import (
-    FockMatrixHamiltonian,
     OverlapReport,
     TrotterExactReport,
     build_matrix,
     empirical_trotter_number,
     hartree_fock_overlap,
-    strang_effective_energy,
     strang_error_scan,
     term_matrix,
 )
 from .trotter import (
     ErrorConstantEstimate,
-    TrotterNumberModel,
-    chebyshev_samples,
     estimate_error_constant,
-    sampling_variance,
     trotter_number,
-    trotter_number_model,
 )
 from .costs import (
     CLIFFORD_T_RATIO,
@@ -52,7 +46,6 @@ from .costs import (
     LogicalCostReport,
     PhaseEstimationModel,
     SynthesisModel,
-    approx_optimal_budget,
     evaluate_cost,
     evaluate_cost_smooth,
     logical_qubit_count,

@@ -25,7 +25,6 @@ from .costs import (
     strategy_report,
 )
 from .hamiltonian import (
-    clifford_count_per_step,
     enumerate_terms,
     export_terms,
     parse_fcidump,
@@ -124,14 +123,15 @@ def _cmd_ingest(args):
 
 def _cmd_trotter_bound(args):
     terms = _load_terms(args)
-    kwargs = {"method": args.method, "seed": args.seed}
-    if args.method == "stratified":
-        kwargs["samples_per_stratum"] = args.samples_per_class
-    if args.method == "uniform":
-        if args.samples is None:
-            raise ValueError("uniform sampling needs --samples")
-        kwargs["samples"] = args.samples
-    estimate = estimate_error_constant(terms, **kwargs)
+    for flag, value, low in (
+        ("--samples-per-class", args.samples_per_class, 1), ("--seed", args.seed, 0),
+    ):
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+    estimate = estimate_error_constant(
+        terms, method=args.method, samples_per_stratum=args.samples_per_class,
+        seed=args.seed,
+    )
     _print_json({
         "source": args.fcidump,
         "h_bound": estimate.value,
@@ -420,14 +420,13 @@ def build_parser():
     )
     _add_fcidump_flags(p)
     p.add_argument(
-        "--method", choices=("exhaustive", "stratified", "uniform"),
+        "--method", choices=("exhaustive", "stratified"),
         default="exhaustive",
     )
     p.add_argument(
         "--samples-per-class", type=int, default=200,
         help="stratified samples per class-signature stratum",
     )
-    p.add_argument("--samples", type=int, help="uniform-mode sample count")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_trotter_bound)
 

@@ -45,7 +45,6 @@ __all__ = [
     "LogicalCostReport",
     "evaluate_cost",
     "evaluate_cost_smooth",
-    "approx_optimal_budget",
     "optimize_budget",
     "strategy_report",
     "with_t_count",

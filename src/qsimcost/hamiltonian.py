@@ -37,9 +37,7 @@ class     operator                               canonical index tuple
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -212,11 +210,6 @@ class HamiltonianTerm:
         return None
 
     @property
-    def number_indices(self):
-        """Indices appearing in both halves (occupation-number factors)."""
-        return frozenset(self.creation) & frozenset(self.annihilation)
-
-    @property
     def jw_chain(self):
         """Qubits of the term's Jordan-Wigner string, parity chain included.
 
@@ -236,9 +229,6 @@ class HamiltonianTerm:
         """CNOT ladder as consecutive qubit pairs along the string chain."""
         chain = self.jw_chain
         return tuple(zip(chain[:-1], chain[1:]))
-
-    def sort_key(self):
-        return self.spin_orbitals
 
 
 class TermList:

@@ -41,16 +41,12 @@ import math
 
 import numpy as np
 
-from .hamiltonian import HamiltonianTerm, TermList
-
 __all__ = [
     "DEFAULT_QUBIT_CAP",
-    "FockMatrixHamiltonian",
     "TrotterExactReport",
     "OverlapReport",
     "build_matrix",
     "term_matrix",
-    "strang_effective_energy",
     "strang_error_scan",
     "empirical_trotter_number",
     "hartree_fock_overlap",
@@ -462,10 +458,6 @@ class _StrangEvaluator:
         forward = self._half_products(ts).transpose(1, 0, 2)
         return forward @ forward.transpose(0, 2, 1)
 
-    def step_unitary(self, t):
-        """One second-order step: forward half-products then their reverse."""
-        return self._step_unitaries([t])[0]
-
     def _chunk_reports(self, ts):
         unitary = self._step_unitaries(ts)
         defects = np.abs(
@@ -511,21 +503,17 @@ class _StrangEvaluator:
             for report in self._chunk_reports(ts[start:start + size])
         ]
 
-    def report(self, t):
-        """TrotterExactReport at one step size: the one-step scan."""
-        return self.scan([t])[0]
 
+def strang_error_scan(terms, ts, particle_sector="auto",
+                      qubit_cap=DEFAULT_QUBIT_CAP):
+    """TrotterExactReport rows for a grid of step sizes, sharing setup.
 
-def strang_effective_energy(terms, t, particle_sector="auto",
-                            qubit_cap=DEFAULT_QUBIT_CAP):
-    """Exact effective energy of one second-order product-formula step.
-
-    Builds U(t) = prod_j exp(-i H_j t/2) * prod_reverse_j exp(-i H_j t/2)
-    over the lexicographically ordered terms, diagonalizes it, and reads the
-    effective ground energy from the eigenphase of the eigenvector with
-    maximal overlap against the exact ground state. The constant core energy
-    is excluded from the product (it only rotates the global phase) and
-    added back to the reported energies.
+    At each step size t, builds U(t) = prod_j exp(-i H_j t/2) *
+    prod_reverse_j exp(-i H_j t/2) over the lexicographically ordered terms,
+    diagonalizes it, and reads the effective ground energy from the
+    eigenphase of the eigenvector with maximal overlap against the exact
+    ground state. The constant core energy is excluded from the product (it
+    only rotates the global phase) and added back to the reported energies.
 
     Every factor is complex symmetric, so U is the forward half-product F
     times its transpose, and U is complex symmetric as well as unitary. Its
@@ -533,13 +521,15 @@ def strang_effective_energy(terms, t, particle_sector="auto",
     eigenbasis Q, found by one real symmetric eigh; the eigenvalues are
     diag(Q^T U Q) and the overlaps (Q^T g)^2 with the real ground state g.
     Both U U^dagger - I and U Q - Q diag(Q^T U Q) are checked against 1e-9
-    in max norm. strang_error_scan runs the same computation batched over
-    its step sizes, in chunks of at most 2**18 complex entries.
+    in max norm. The step sizes run as stacked batches, as many per chunk
+    as fit in 2**18 complex entries of half-products; a single step size t
+    is strang_error_scan(terms, [t])[0].
 
     Args:
         terms: TermList to Trotterize.
-        t: step size, Hartree^-1; the eigenphase is trustworthy only while
-            abs(electronic energy) * t < pi, and the report flags the wrap.
+        ts: positive step sizes, Hartree^-1; the eigenphase is trustworthy
+            only while abs(electronic energy) * t < pi, and each row flags
+            the wrap.
         particle_sector: "auto" restricts to the term list's electron count
             when it is positive; None forces the full Fock space; an int
             picks that sector. Inside a sector, a term list that conserves
@@ -548,18 +538,7 @@ def strang_effective_energy(terms, t, particle_sector="auto",
         qubit_cap: dense-space size limit.
 
     Returns:
-        TrotterExactReport at this t.
-    """
-    return _StrangEvaluator(terms, particle_sector, qubit_cap).report(t)
-
-
-def strang_error_scan(terms, ts, particle_sector="auto",
-                      qubit_cap=DEFAULT_QUBIT_CAP):
-    """TrotterExactReport rows for a grid of step sizes, sharing setup.
-
-    The step sizes run as stacked batches, as many per chunk as fit in
-    2**18 complex entries of half-products; the rows are those of
-    strang_effective_energy at each step size.
+        One TrotterExactReport per step size, in the order of ts.
     """
     return _StrangEvaluator(terms, particle_sector, qubit_cap).scan(ts)
 

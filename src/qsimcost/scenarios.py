@@ -21,6 +21,7 @@ import dataclasses
 import importlib.resources
 import json
 import math
+import numbers
 
 from .costs import (
     PhaseEstimationModel,
@@ -176,6 +177,10 @@ class Scenario:
             raise ValueError(f"p_inject out of range: {self.p_inject}")
         if self.combination not in ("worst_case", "variance"):
             raise ValueError(f"unknown combination rule {self.combination!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -32,10 +32,10 @@ index b: the gate's first branch (a > b and c > b) is then the square slice
 [b+1:, b+1:] of those tables over (a, c), and rules 1-5 become broadcasts of
 row b against it, so no gated-out cell is evaluated and memory stays O(m^2).
 The second branch (b > a and c == a) is one band of m(m-1)/2 triples. The
-Monte Carlo estimators sample the triple population, stratified by the class
-signature (class_a, class_b, class_c) or uniformly. All estimators share one
-definition of the summand, so the exhaustive mode reproduces the
-deterministic sum up to summation order.
+Monte Carlo estimator samples the triple population, stratified by the class
+signature (class_a, class_b, class_c). Both estimators share one definition
+of the summand, so the exhaustive mode reproduces the deterministic sum up to
+summation order.
 """
 
 from __future__ import annotations
@@ -50,12 +50,8 @@ from .hamiltonian import _DIAGONAL_CODES, TERM_CLASSES
 
 __all__ = [
     "ErrorConstantEstimate",
-    "TrotterNumberModel",
     "estimate_error_constant",
-    "sampling_variance",
-    "chebyshev_samples",
     "trotter_number",
-    "trotter_number_model",
 ]
 
 _MAX_MASK_BITS = 64
@@ -125,12 +121,11 @@ class ErrorConstantEstimate:
 
     Attributes:
         value: estimate of h in Hartree^3 (delta_E <= value * t^2).
-        method: "exhaustive", "stratified", or "uniform".
+        method: "exhaustive" or "stratified".
         std_error: one-sigma standard error of the estimator; 0 when exact.
         samples: Monte Carlo draws consumed (0 when exact).
         population: number of ordered term triples, m^3.
         per_stratum: class-signature triple -> contribution to value.
-            Exhaustive runs fill this exactly; uniform runs leave it empty.
         seed: RNG seed used, None when exact.
     """
 
@@ -259,47 +254,40 @@ def _stratified(arrays, samples_per_stratum, seed):
     return total, math.sqrt(variance), n * len(sampled), per_stratum
 
 
-def _uniform(arrays, samples, seed):
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    m = arrays.m
-    a = rng.integers(0, m, samples)
-    b = rng.integers(0, m, samples)
-    c = rng.integers(0, m, samples)
-    gam = arrays.gamma(a, b, c)
-    population = m**3
-    mean = float(gam.mean())
-    var = float(gam.var(ddof=1)) if samples > 1 else 0.0
-    return population * mean, population * math.sqrt(var / samples)
-
-
 def estimate_error_constant(terms, method="exhaustive", samples_per_stratum=200,
-                            samples=None, seed=0):
+                            seed=0):
     """Estimate the second-order error constant h of a term list.
 
     Args:
         terms: TermList in canonical order.
         method: "exhaustive" sums every triple; "stratified" samples each
             class-signature stratum and enumerates strata smaller than the
-            per-stratum budget; "uniform" samples the whole triple cube.
-        samples_per_stratum: stratified budget per stratum.
-        samples: uniform-mode sample count (required for that method).
-        seed: base seed; stratified runs derive one child stream per
-            stratum, so results are reproducible bit for bit.
+            per-stratum budget.
+        samples_per_stratum: stratified budget per stratum, at least 1.
+        seed: non-negative base seed; stratified runs derive one child
+            stream per stratum, so results are reproducible bit for bit.
 
     Returns:
         ErrorConstantEstimate.
 
     Raises:
-        ValueError: h or its standard error is not finite, or, for the
-            sampled methods, 4 n^3 overflows for the largest term norm n.
+        ValueError: samples_per_stratum is below 1 or seed is negative; h or
+            its standard error is not finite; or, for the stratified
+            method, 4 n^3 overflows for the largest term norm n.
     """
+    if samples_per_stratum < 1:
+        raise ValueError(
+            f"samples_per_stratum must be >= 1, got {samples_per_stratum}"
+        )
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     arrays = _TermArrays(terms)
     if arrays.m == 0:
         return ErrorConstantEstimate(
             value=0.0, method=method, std_error=0.0, samples=0, population=0,
             per_stratum={}, seed=None,
         )
-    if method in ("stratified", "uniform"):
+    if method == "stratified":
         # the draws can miss every triple whose summand overflows, so a
         # sampled h is refused whenever the largest summand could
         largest = float(arrays.norm.max())
@@ -319,12 +307,6 @@ def estimate_error_constant(terms, method="exhaustive", samples_per_stratum=200,
             value, std_error, drawn, per_stratum = _stratified(
                 arrays, samples_per_stratum, seed
             )
-        elif method == "uniform":
-            if not samples:
-                raise ValueError("uniform sampling needs an explicit sample count")
-            drawn = int(samples)
-            value, std_error = _uniform(arrays, drawn, seed)
-            per_stratum = {}
         else:
             raise ValueError(f"unknown method {method!r}")
     if not (math.isfinite(value) and math.isfinite(std_error)):
@@ -338,48 +320,6 @@ def estimate_error_constant(terms, method="exhaustive", samples_per_stratum=200,
     )
 
 
-def sampling_variance(terms):
-    """Exact population variance of the uniform-sampling summand.
-
-    Walks the same gated blocks as the exhaustive sum (triples outside the
-    gate are zeros of the population), so it costs O(m^3) time; a desk-scale
-    diagnostic for calibrating sample counts. An empty term list has
-    variance 0.
-    """
-    arrays = _TermArrays(terms)
-    if arrays.m == 0:
-        return 0.0
-    total = 0.0
-    total_sq = 0.0
-    for gamma, _ in _gated_blocks(arrays):
-        total += float(gamma.sum())
-        total_sq += float((gamma * gamma).sum())
-    population = arrays.m**3
-    mean = total / population
-    return total_sq / population - mean * mean
-
-
-def chebyshev_samples(population_variance, population, target,
-                      failure_probability=0.25):
-    """Uniform-mode sample count guaranteeing the target by Chebyshev.
-
-    With n draws the estimator variance is population^2 * var / n, so
-
-        n >= population^2 * var / (failure_probability * target^2)
-
-    bounds the probability of missing the target absolute error.
-    """
-    if target <= 0 or not 0 < failure_probability < 1:
-        raise ValueError("need target > 0 and failure probability in (0, 1)")
-    if population_variance < 0:
-        raise ValueError(f"negative variance {population_variance}")
-    if population_variance == 0:
-        return 1
-    return math.ceil(
-        population**2 * population_variance / (failure_probability * target**2)
-    )
-
-
 def trotter_number(error_constant, epsilon):
     """Steps per unit time so that h * t^2 <= epsilon at t = 1/steps."""
     if epsilon <= 0:
@@ -387,31 +327,3 @@ def trotter_number(error_constant, epsilon):
     if error_constant < 0:
         raise ValueError(f"negative error constant {error_constant}")
     return max(1, math.ceil(math.sqrt(error_constant / epsilon)))
-
-
-@dataclasses.dataclass(frozen=True)
-class TrotterNumberModel:
-    """Power-law extrapolation of the Trotter number in system size.
-
-    Attributes:
-        reference_trotter_number: Trotter number at the reference size.
-        reference_n: spin-orbital count the reference was computed at.
-        exponent: growth exponent; 2.5 reflects error-constant growth of
-            N^5 under the square-root step rule.
-    """
-
-    reference_trotter_number: float
-    reference_n: int
-    exponent: float = 2.5
-
-    def __post_init__(self):
-        if self.reference_trotter_number <= 0 or self.reference_n <= 0:
-            raise ValueError("reference values must be positive")
-
-
-def trotter_number_model(n_spin_orbitals, model):
-    """Extrapolated Trotter number at a new register size."""
-    if n_spin_orbitals <= 0:
-        raise ValueError(f"need a positive size, got {n_spin_orbitals}")
-    scale = (n_spin_orbitals / model.reference_n) ** model.exponent
-    return math.ceil(model.reference_trotter_number * scale)

@@ -418,7 +418,7 @@ def random_canonical_terms(n_spin_orbitals, count, seed):
             idx = (*pairs[0], *pairs[1])
         coefficient = float(rng.uniform(-1.0, 1.0))
         terms[idx] = HamiltonianTerm(term_class, idx, coefficient, abs(coefficient))
-    ordered = sorted(terms.values(), key=HamiltonianTerm.sort_key)
+    ordered = sorted(terms.values(), key=lambda term: term.spin_orbitals)
     return TermList(terms=tuple(ordered), n_spin_orbitals=n_spin_orbitals)
 
 
@@ -483,7 +483,7 @@ def scalar_enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):
                 continue
             add(_classify((i, k), (j, l)), (i, k, j, l), w)
 
-    terms.sort(key=HamiltonianTerm.sort_key)
+    terms.sort(key=lambda term: term.spin_orbitals)
     return TermList(
         terms=tuple(terms),
         n_spin_orbitals=n_so,

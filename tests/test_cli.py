@@ -12,10 +12,9 @@ from qsimcost.cli import build_parser, main
 _DATA = importlib.resources.files("qsimcost.data")
 H2 = str(_DATA.joinpath("h2_sto3g.fcidump"))
 H4 = str(_DATA.joinpath("h4_chain.fcidump"))
-H8 = str(
-    pathlib.Path(__file__).resolve().parents[1]
-    / "perfbench" / "fixtures" / "h8_chain.fcidump"
-)
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+H6 = str(FIXTURES / "h6_chain.fcidump")
+H8 = str(FIXTURES / "h8_chain.fcidump")
 
 
 def run(capsys, *argv):
@@ -79,12 +78,26 @@ def test_trotter_bound_stratified_seeded(capsys):
     assert first["seed"] == 3
 
 
-def test_trotter_bound_uniform_needs_samples(capsys):
-    code, _, err = run(
-        capsys, "trotter-bound", "--fcidump", H2, "--method", "uniform"
+@pytest.mark.parametrize("argv, flag", [
+    (("--samples-per-class", "0"), "--samples-per-class"),
+    (("--samples-per-class=-3",), "--samples-per-class"),
+    (("--seed=-1",), "--seed"),
+])
+@pytest.mark.parametrize("method", ["exhaustive", "stratified"])
+def test_trotter_bound_names_a_bad_sampling_flag(capsys, method, argv, flag):
+    code, out, err = run(
+        capsys, "trotter-bound", "--fcidump", H2, "--method", method, *argv
     )
     assert code == 2
-    assert "--samples" in err
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be")
+
+
+def test_report_names_a_negative_seed(capsys):
+    code, out, err = run(capsys, "report", "--fcidump", H6, "--seed=-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: seed must be a non-negative integer")
 
 
 def test_oracle_validate_bound_holds(capsys):
@@ -119,15 +132,13 @@ def test_overflowing_error_constant_is_named(tmp_path, capsys, command):
     assert err.startswith("error: error constant h overflows")
 
 
-@pytest.mark.parametrize("method", [
-    ("--method", "uniform", "--samples", "100"),
-    ("--method", "stratified"),
-])
+# the id stays [method1] so recorded test ids keep matching
+@pytest.mark.parametrize("method", [("--method", "stratified")], ids=["method1"])
 def test_sampled_error_constant_refuses_an_overflowing_summand(
     tmp_path, capsys, method
 ):
-    # 100 uniform draws miss every triple through the 1e300 (11|11) term and
-    # used to report a finite h; a sampled h is refused once 4 n^3 overflows
+    # the draws can miss every triple through the 1e300 (11|11) term; a
+    # sampled h is refused once 4 n^3 overflows
     table = load_molecule("h4_chain")
     table.set_two_body(1, 1, 1, 1, 1e300)
     path = tmp_path / "huge.fcidump"

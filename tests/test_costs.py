@@ -12,7 +12,6 @@ from qsimcost import (
     ParParams,
     PhaseEstimationModel,
     SynthesisModel,
-    approx_optimal_budget,
     clifford_count_per_step,
     enumerate_terms,
     evaluate_cost,
@@ -24,7 +23,12 @@ from qsimcost import (
     par_rotation_factories,
     strategy_report,
 )
-from qsimcost.costs import _PE_PRESETS, _SYNTHESIS_PRESETS, _ceiled_t_counts
+from qsimcost.costs import (
+    _PE_PRESETS,
+    _SYNTHESIS_PRESETS,
+    _ceiled_t_counts,
+    approx_optimal_budget,
+)
 
 PE = PhaseEstimationModel.preset("optimal_surrogate")
 SYN = SynthesisModel.preset("fallback_average")

@@ -16,7 +16,6 @@ from qsimcost import (
     load_molecule,
     parse_fcidump,
     parse_terms,
-    strang_effective_energy,
     strang_error_scan,
     term_matrix,
 )
@@ -234,7 +233,7 @@ def test_step_unitary_matches_expm_product(name):
 
     evaluator = _StrangEvaluator(terms, particle_sector=None)
     for t in (0.3, 0.07):
-        fast = evaluator.step_unitary(t)
+        fast = evaluator._step_unitaries([t])[0]
         slow = reference_step_unitary(terms, t)
         assert np.max(np.abs(fast - slow)) < 1e-12
 
@@ -244,8 +243,8 @@ def test_sector_and_full_space_reports_agree_when_ground_coincides(name):
     # both global grounds live in the Sz = 0 block of the neutral sector,
     # so the block and full-space evaluations select the same eigenphase
     terms = molecule_terms(name)
-    restricted = strang_effective_energy(terms, 0.1)
-    full = strang_effective_energy(terms, 0.1, particle_sector=None)
+    restricted = strang_error_scan(terms, [0.1])[0]
+    full = strang_error_scan(terms, [0.1], particle_sector=None)[0]
     assert restricted.e_fci == pytest.approx(full.e_fci, abs=1e-12)
     assert restricted.delta_e == pytest.approx(full.delta_e, abs=1e-10)
 
@@ -282,8 +281,8 @@ def test_spin_flip_term_keeps_the_whole_sector():
     )
     assert len(_StrangEvaluator(terms).states) == math.comb(4, 2)
     for t in (0.2, 0.05):
-        restricted = strang_effective_energy(terms, t)
-        full = strang_effective_energy(terms, t, particle_sector=None)
+        restricted = strang_error_scan(terms, [t])[0]
+        full = strang_error_scan(terms, [t], particle_sector=None)[0]
         assert restricted.e_fci == pytest.approx(full.e_fci, abs=1e-12)
         assert restricted.delta_e == pytest.approx(full.delta_e, abs=1e-10)
 
@@ -318,13 +317,13 @@ def test_effective_energy_slope_matches_error_operator():
     _, ground = hamiltonian.ground_state()
     predicted = float(ground @ w_op @ ground)
 
-    report = strang_effective_energy(terms, 0.02)
+    report = strang_error_scan(terms, [0.02])[0]
     measured = (report.e_effective - report.e_fci) / report.t**2
     assert measured == pytest.approx(predicted, rel=2e-4)
 
 
 def test_report_fields_are_consistent():
-    report = strang_effective_energy(molecule_terms("heh_plus"), 0.125)
+    report = strang_error_scan(molecule_terms("heh_plus"), [0.125])[0]
     assert report.delta_e == pytest.approx(
         abs(report.e_effective - report.e_fci), abs=1e-15
     )
@@ -337,13 +336,13 @@ def test_report_fields_are_consistent():
 
 def test_phase_wrap_is_flagged():
     # |E_electronic| * t > pi: the eigenphase leaves the principal branch
-    report = strang_effective_energy(molecule_terms("h2_sto3g"), 2.0)
+    report = strang_error_scan(molecule_terms("h2_sto3g"), [2.0])[0]
     assert report.phase_wrapped
 
 
 def test_rejects_nonpositive_step():
     with pytest.raises(ValueError, match="positive"):
-        strang_effective_energy(molecule_terms("h2_sto3g"), 0.0)
+        strang_error_scan(molecule_terms("h2_sto3g"), [0.0])[0]
 
 
 def test_empirical_trotter_number_scans_grid():

@@ -1,0 +1,82 @@
+"""The package's public surface and the cost of importing it."""
+
+import importlib
+import inspect
+import os
+import pathlib
+import subprocess
+import sys
+import types
+
+import qsimcost
+from qsimcost.hamiltonian import HamiltonianTerm
+from qsimcost.oracle import _StrangEvaluator
+
+LAYERS = (
+    "hamiltonian", "trotter", "oracle", "costs", "par", "surface_code",
+    "scenarios", "datasets",
+)
+
+# module-level names that no longer exist anywhere
+GONE = {
+    "trotter": (
+        "TrotterNumberModel", "trotter_number_model", "sampling_variance",
+        "chebyshev_samples",
+    ),
+    "oracle": ("strang_effective_energy",),
+}
+# internal plumbing: kept in its module, out of __all__ and the package
+INTERNAL = {"costs": ("approx_optimal_budget",), "oracle": ("FockMatrixHamiltonian",)}
+
+
+def test_public_surface_is_the_layer_exports():
+    exported = set()
+    for layer in LAYERS:
+        module = importlib.import_module(f"qsimcost.{layer}")
+        for name in module.__all__:
+            assert hasattr(module, name), f"{layer}.__all__ lists missing {name}"
+        exported.update(module.__all__)
+
+    reexported = {
+        name for name, value in vars(qsimcost).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert reexported <= exported, sorted(reexported - exported)
+
+    for layer, names in GONE.items():
+        module = importlib.import_module(f"qsimcost.{layer}")
+        for name in names:
+            assert not hasattr(module, name), f"{layer}.{name}"
+            assert not hasattr(qsimcost, name), name
+    for layer, names in INTERNAL.items():
+        module = importlib.import_module(f"qsimcost.{layer}")
+        for name in names:
+            assert hasattr(module, name), f"{layer}.{name}"
+            assert name not in module.__all__, f"{layer}.{name}"
+            assert not hasattr(qsimcost, name), name
+    assert "samples" not in inspect.signature(
+        qsimcost.estimate_error_constant
+    ).parameters
+    for attribute in ("number_indices", "sort_key"):
+        assert not hasattr(HamiltonianTerm, attribute), attribute
+    for attribute in ("report", "step_unitary"):
+        assert not hasattr(_StrangEvaluator, attribute), attribute
+
+
+def test_import_loads_neither_scipy_nor_mpmath():
+    # both are test-only dependencies; a stray import would move every
+    # command's start-up time
+    src = str(pathlib.Path(qsimcost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    probe = (
+        "import sys, qsimcost, qsimcost.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('scipy', 'mpmath')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]", result.stdout

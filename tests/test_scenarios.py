@@ -47,6 +47,9 @@ def test_scenario_validation():
         Scenario(structure="struct-1", error_rates=(2.0,))
     with pytest.raises(ValueError, match="combination"):
         Scenario(structure="struct-1", combination="median")
+    for seed in (-1, "7", 2.0):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            Scenario(structure="struct-1", seed=seed)
     with pytest.raises(ValueError, match="unknown structure"):
         run_scenario(Scenario(structure="femoco"), PRESETS)
 

@@ -1,4 +1,3 @@
-import math
 import pathlib
 
 import numpy as np
@@ -8,16 +7,12 @@ from qsimcost import (
     ErrorConstantEstimate,
     HamiltonianTerm,
     TermList,
-    TrotterNumberModel,
-    chebyshev_samples,
     enumerate_terms,
     estimate_error_constant,
     load_molecule,
     parse_fcidump,
-    sampling_variance,
     term_matrix,
     trotter_number,
-    trotter_number_model,
 )
 from qsimcost.trotter import _TermArrays
 
@@ -201,7 +196,7 @@ def test_exhaustive_two_terms_by_hand():
     }
 
 
-@pytest.mark.parametrize("name", ["heh_plus", "h3_plus"])
+@pytest.mark.parametrize("name", ["heh_plus", "h3_plus", "h2_sto3g"])
 def test_per_stratum_matches_independent_triple_loop(name):
     sequence = list(molecule_terms(name))
     reference = exhaustive_error_constant_by_key(
@@ -253,11 +248,6 @@ def test_empty_term_list_gives_zero():
     empty = TermList(terms=(), n_spin_orbitals=2)
     estimate = estimate_error_constant(empty, method="exhaustive")
     assert estimate.value == 0.0
-
-
-def test_empty_term_list_has_zero_sampling_variance():
-    empty = TermList(terms=(), n_spin_orbitals=2)
-    assert sampling_variance(empty) == 0.0
 
 
 @pytest.mark.parametrize("name", BUNDLED + ("h5p_chain", "h8_chain", "synthetic"))
@@ -361,68 +351,20 @@ def test_stratified_contributions_sum_to_value():
     )
 
 
-# ---------------------------------------------------------------------------
-# Uniform sampling and the Chebyshev bound
-# ---------------------------------------------------------------------------
-
-def test_uniform_requires_sample_count():
-    with pytest.raises(ValueError, match="sample count"):
-        estimate_error_constant(molecule_terms("h2_sto3g"), method="uniform")
-
-
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown method"):
         estimate_error_constant(molecule_terms("h2_sto3g"), method="sobol")
 
 
-def test_chebyshev_sample_count_guarantee():
-    # with n from the bound, at least 75 of 100 independent uniform trials
-    # must land within the target absolute error
-    terms = molecule_terms("h2_sto3g")
-    exact = estimate_error_constant(terms, method="exhaustive").value
-    variance = sampling_variance(terms)
-    target = 0.10 * exact
-    n = chebyshev_samples(variance, terms.m**3, target, failure_probability=0.25)
-    hits = 0
-    for seed in range(100):
-        estimate = estimate_error_constant(
-            terms, method="uniform", samples=n, seed=seed
-        )
-        hits += abs(estimate.value - exact) <= target
-    assert hits >= 75
-
-
-def test_chebyshev_samples_scaling():
-    base = chebyshev_samples(2.0, 1000, 0.5)
-    assert base == math.ceil(1000**2 * 2.0 / (0.25 * 0.25))
-    assert chebyshev_samples(2.0, 1000, 1.0) == math.ceil(base / 4)
-    assert chebyshev_samples(2.0, 1000, 0.5, failure_probability=0.5) == math.ceil(
-        base / 2
-    )
-    assert chebyshev_samples(0.0, 1000, 0.5) == 1
-
-
-def test_chebyshev_samples_validates_inputs():
-    with pytest.raises(ValueError):
-        chebyshev_samples(1.0, 10, 0.0)
-    with pytest.raises(ValueError):
-        chebyshev_samples(1.0, 10, 0.5, failure_probability=1.5)
-    with pytest.raises(ValueError):
-        chebyshev_samples(-1.0, 10, 0.5)
-
-
-def test_sampling_variance_is_population_variance():
-    terms = molecule_terms("h2_sto3g")
-    arrays = _TermArrays(terms)
-    m = terms.m
-    values = []
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                values.append(
-                    float(arrays.gamma(np.array([a]), np.array([b]), np.array([c]))[0])
-                )
-    assert sampling_variance(terms) == pytest.approx(np.var(values), rel=1e-10)
+@pytest.mark.parametrize("kwargs, name", [
+    ({"samples_per_stratum": 0}, "samples_per_stratum"),
+    ({"samples_per_stratum": -3}, "samples_per_stratum"),
+    ({"seed": -1}, "seed"),
+])
+@pytest.mark.parametrize("method", ["exhaustive", "stratified"])
+def test_bad_sampling_parameters_are_named(method, kwargs, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        estimate_error_constant(molecule_terms("h4_chain"), method=method, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -451,21 +393,3 @@ def test_trotter_number_validates_inputs():
         trotter_number(1.0, 0.0)
     with pytest.raises(ValueError):
         trotter_number(-1.0, 0.5)
-
-
-def test_trotter_number_model_power_law():
-    model = TrotterNumberModel(reference_trotter_number=1000, reference_n=100)
-    assert trotter_number_model(100, model) == 1000
-    assert trotter_number_model(200, model) == math.ceil(1000 * 2**2.5)
-    shallow = TrotterNumberModel(
-        reference_trotter_number=1000, reference_n=100, exponent=1.0
-    )
-    assert trotter_number_model(50, shallow) == 500
-
-
-def test_trotter_number_model_validates_inputs():
-    with pytest.raises(ValueError):
-        TrotterNumberModel(reference_trotter_number=0, reference_n=10)
-    model = TrotterNumberModel(reference_trotter_number=10, reference_n=10)
-    with pytest.raises(ValueError):
-        trotter_number_model(0, model)
