@@ -7,22 +7,25 @@ per-term exponentials, and energies come from full diagonalization. The
 intended use is validating the analytic error bounds and cost models on
 molecules small enough to solve outright.
 
+Every term's action on the basis states is one action table, built from
+the TermList columns in array passes over chunks of (term, state) cells:
+the term row, source and target positions and int8 sign of each
+off-diagonal matrix element, and the diagonal of each diagonal term.
+build_matrix assembles the matrix from it, and the Strang oracle builds
+it once per scan, through the sector build_matrix call.
+
 The Strang-step oracle narrows a particle sector further when it can: if
 every term also conserves Sz, the step unitary, its eigendecomposition and
 the overlap selection live in the Sz block that holds the sector's ground
 state (for H6 in 12 spin orbitals, 400 of the sector's 924 states). The
-block's term actions are the sector's, renumbered.
+block's table is the sector's, renumbered.
 
 A scan runs as one batched computation over its step sizes. The forward
 half-products of every step size in a chunk come from one pass over the
-terms. Each factor exp(-i H_j t/2) is complex symmetric, so the step
-unitary U = F F^T is complex symmetric and unitary: Re U and Im U are
-commuting real symmetric matrices with a shared real orthogonal
-eigenbasis, which one real symmetric eigh per step finds in place of a
-complex eig (a second, smaller eigh separates the rare pair of phases that
-the first one's mix of Re U and Im U cannot tell apart). A chunk holds at most 2**18 complex entries of half-products
-(4 MB): 20 step sizes of H5+'s 100-state block, one of H6's 400-state
-block. A single step size is the one-step case of the same code.
+terms, and one real symmetric eigh per step diagonalizes the complex
+symmetric unitary step (see strang_error_scan). A chunk holds at most
+2**18 complex entries of half-products (4 MB): 20 step sizes of H5+'s
+100-state block, one of H6's 400-state block.
 
 The register is capped (default 14 spin orbitals, a 16384-dimensional Fock
 space). Full-space dense work at the cap needs several GB; practical test
@@ -40,6 +43,8 @@ import dataclasses
 import math
 
 import numpy as np
+
+from .hamiltonian import _CLASS_CODE, _DIAGONAL_CODES, TermList
 
 __all__ = [
     "DEFAULT_QUBIT_CAP",
@@ -63,92 +68,103 @@ def _check_cap(n_so, qubit_cap):
         )
 
 
-def _popcount(values):
-    return np.bitwise_count(values.astype(np.uint64)).astype(np.int64)
-
-
 _UP_BITS = np.int64(0x5555555555555555)  # spin orbitals 1, 3, 5, ...
 
 
 def _twice_sz(states):
     """N_up - N_down of each basis state."""
-    return 2 * _popcount(states & _UP_BITS) - _popcount(states)
+    n_up = np.bitwise_count(states & _UP_BITS).astype(int)
+    return 2 * n_up - np.bitwise_count(states)
 
 
-class _TermAction:
-    """Precomputed action of one merged term on a fixed basis-state set.
+# (term, basis state) cells per action-table chunk, a bound on its memory
+_TABLE_ENTRIES = 2**16
 
-    For diagonal terms the action is a real diagonal vector. For the rest it
-    is the representative monomial E as (source positions, target positions,
-    signs); the merged operator is coefficient * (E + E^T).
+
+@dataclasses.dataclass(frozen=True)
+class _ActionTable:
+    """Every term's action on a fixed basis-state set, as arrays.
+
+    Entry k: the monomial E of term row term[k] maps the state at position
+    source[k] to target[k] with sign[k] (int8), and the merged term is
+    coefficient * (E + E^T); entries run term by term, each term's by
+    source. Diagonal term row diagonal_term[d] has diagonal[d].
     """
 
-    def __init__(self, term, states, position_of):
-        self.term = term
-        ops = self._operator_sequence(term)
-        state = states.copy()
-        sign = np.ones(len(states), dtype=np.int64)
-        alive = np.ones(len(states), dtype=bool)
-        for kind, orb in ops:  # ops listed right to left, applied in order
-            bit = np.int64(1) << np.int64(orb - 1)
-            occupied = (state & bit) != 0
-            alive &= occupied if kind == "-" else ~occupied
-            below = state & (bit - 1)
-            sign = np.where(_popcount(below) & 1, -sign, sign)
-            state = state ^ bit
-        src = np.nonzero(alive)[0]
-        tgt_states = state[src]
-        if term.is_diagonal:
-            if not np.array_equal(tgt_states, states[src]):
-                raise AssertionError("diagonal term moved a basis state")
-            diag = np.zeros(len(states))
-            diag[src] = sign[src].astype(float)
-            self.diagonal = diag * term.coefficient
-            self.source = self.target = None
-            self.signs = None
-        else:
-            self.diagonal = None
-            self.source = src
-            self.target = position_of(tgt_states)
-            self.signs = sign[src].astype(float)
+    coefficients: np.ndarray
+    term: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    sign: np.ndarray
+    diagonal_term: np.ndarray
+    diagonal: np.ndarray
 
-    @staticmethod
-    def _operator_sequence(term):
-        """Right-to-left elementary operators of the representative monomial."""
-        return [("-", a) for a in term.annihilation] + [
-            ("+", c) for c in term.creation[::-1]
+    def per_term(self):
+        """Per term row: its diagonal, or its (source, target, sign) slice."""
+        bounds = np.searchsorted(self.term, np.arange(len(self.coefficients) + 1))
+        actions = [
+            (self.source[lo:hi], self.target[lo:hi], self.sign[lo:hi])
+            for lo, hi in zip(bounds.tolist(), bounds[1:].tolist())
         ]
+        for row, values in zip(self.diagonal_term.tolist(), self.diagonal):
+            actions[row] = values
+        return actions
 
-    def add_to(self, matrix):
-        """Accumulate the merged Hermitian term into a dense matrix."""
-        if self.diagonal is not None:
-            matrix[np.diag_indices_from(matrix)] += self.diagonal
-            return
-        amp = self.term.coefficient * self.signs
-        np.add.at(matrix, (self.target, self.source), amp)
-        np.add.at(matrix, (self.source, self.target), amp)
-
-    def restricted(self, positions, inverse):
-        """This action on the states at positions, renumbered by inverse.
-
-        inverse maps a position of the original state set to its index in
-        positions, or -1 outside them; the subset must be closed under the
-        term, as an Sz block is under an Sz-conserving term.
-        """
-        part = object.__new__(_TermAction)
-        part.term = self.term
-        if self.diagonal is not None:
-            part.diagonal = self.diagonal[positions]
-            part.source = part.target = part.signs = None
-            return part
-        keep = inverse[self.source] >= 0
-        if np.any(keep != (inverse[self.target] >= 0)):
+    def restricted(self, positions):
+        """This table on the states at positions, an Sz block, renumbered."""
+        inverse = np.full(self.diagonal.shape[1], -1)
+        inverse[positions] = np.arange(len(positions))
+        source, target = inverse[self.source], inverse[self.target]
+        keep = source >= 0
+        if np.any(keep != (target >= 0)):
             raise AssertionError("term left the Sz block")
-        part.diagonal = None
-        part.source = inverse[self.source[keep]]
-        part.target = inverse[self.target[keep]]
-        part.signs = self.signs[keep]
-        return part
+        return dataclasses.replace(
+            self, term=self.term[keep], source=source[keep], target=target[keep],
+            sign=self.sign[keep], diagonal=self.diagonal[:, positions],
+        )
+
+
+def _action_table(terms, states):
+    """The _ActionTable of a TermList on ascending basis states: each term's
+    monomial applies right to left as slots a_a1, a_a2, a+_c2, a+_c1 (a
+    one-body term leaves the middle two empty, orbital 0) to all states at
+    once, _TABLE_ENTRIES (term, state) cells at a time."""
+    codes, index = terms.codes, terms.index
+    two_body = codes >= _CLASS_CODE["PQQP"]
+    slots = np.stack([
+        np.where(two_body, index[:, 2], index[:, :2].max(axis=1)),
+        index[:, 3], np.where(two_body, index[:, 1], 0), index[:, 0],
+    ], axis=1)
+    step = max(1, _TABLE_ENTRIES // len(states))
+    parts = []
+    # one chunk even for no terms, so every column keeps its dtype
+    for start in range(0, max(1, len(codes)), step):
+        rows = slice(start, start + step)
+        state = np.broadcast_to(states, (len(slots[rows]), len(states)))
+        flips = np.zeros(state.shape, dtype=np.uint8)
+        alive = np.ones(state.shape, dtype=bool)
+        for k, orbital in enumerate(slots[rows].T[:, :, None]):
+            shift = np.maximum(orbital - 1, 0)
+            bit = np.where(orbital > 0, np.int64(1) << shift, 0)
+            occupied = (state & bit) != 0
+            alive &= occupied == (bit != 0) if k < 2 else ~occupied
+            flips += np.bitwise_count(state & ((np.int64(1) << shift) - 1))
+            state = state ^ bit
+        sign = np.where(flips & 1, -1, 1).astype(np.int8)
+        diag = np.isin(codes[rows], _DIAGONAL_CODES)
+        if np.any(alive[diag] & (state[diag] != states)):
+            raise AssertionError("diagonal term moved a basis state")
+        term, source = np.nonzero(alive & ~diag[:, None])
+        moved = state[term, source]
+        target = np.searchsorted(states, moved)
+        if np.any(target >= len(states)) or np.any(states[target] != moved):
+            raise AssertionError("term left the particle sector")
+        parts.append((start + term, source, target, sign[term, source],
+                      start + np.flatnonzero(diag),
+                      (sign * alive)[diag] * terms.coefficients[rows][diag, None]))
+    return _ActionTable(terms.coefficients,
+                        *(np.concatenate(column) for column in zip(*parts)))
+
 
 @dataclasses.dataclass(frozen=True)
 class FockMatrixHamiltonian:
@@ -166,6 +182,8 @@ class FockMatrixHamiltonian:
     n_spin_orbitals: int
     particle_sector: int | None
     basis_states: np.ndarray
+    # the _ActionTable the matrix was assembled from, for the Strang oracle
+    _actions: _ActionTable = dataclasses.field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -185,24 +203,7 @@ def _basis_states(n_so, particle_sector):
         raise ValueError(
             f"particle sector {particle_sector} outside 0..{n_so}"
         )
-    return states[_popcount(states) == particle_sector]
-
-
-def _actions(terms, states):
-    sorter = None
-    if len(states) == (1 << terms.n_spin_orbitals):
-        def position_of(patterns):
-            return patterns
-    else:
-        sorter = states  # sector lists are ascending by construction
-
-        def position_of(patterns):
-            pos = np.searchsorted(sorter, patterns)
-            if np.any(pos >= len(sorter)) or np.any(sorter[pos] != patterns):
-                raise AssertionError("term left the particle sector")
-            return pos
-
-    return [_TermAction(t, states, position_of) for t in terms]
+    return states[np.bitwise_count(states) == particle_sector]
 
 
 def build_matrix(terms, particle_sector=None, include_core=True,
@@ -223,9 +224,18 @@ def build_matrix(terms, particle_sector=None, include_core=True,
     n_so = terms.n_spin_orbitals
     _check_cap(n_so, qubit_cap)
     states = _basis_states(n_so, particle_sector)
+    table = _action_table(terms, states)
+    # each triangle takes its entries in one np.add.at, which adds in entry
+    # order, and the diagonal its terms one by one: every element is the
+    # sequential sum of term-by-term assembly (a matmul would reorder it)
     matrix = np.zeros((len(states), len(states)))
-    for action in _actions(terms, states):
-        action.add_to(matrix)
+    amp = table.coefficients[table.term] * table.sign
+    low, high = np.sort([table.source, table.target], axis=0)
+    np.add.at(matrix, (high, low), amp)
+    np.add.at(matrix, (low, high), amp)
+    del amp, low, high  # gone before the check's (dim, dim) temporaries
+    for values in table.diagonal:
+        matrix[np.diag_indices_from(matrix)] += values
     if include_core:
         matrix[np.diag_indices_from(matrix)] += terms.core_energy
     defect = float(np.max(np.abs(matrix - matrix.T)))
@@ -237,16 +247,14 @@ def build_matrix(terms, particle_sector=None, include_core=True,
         n_spin_orbitals=n_so,
         particle_sector=particle_sector,
         basis_states=states,
+        _actions=table,
     )
 
 
 def term_matrix(term, n_spin_orbitals, qubit_cap=DEFAULT_QUBIT_CAP):
     """Dense matrix of a single merged term on the full Fock space."""
-    _check_cap(n_spin_orbitals, qubit_cap)
-    states = _basis_states(n_spin_orbitals, None)
-    matrix = np.zeros((len(states), len(states)))
-    _TermAction(term, states, lambda p: p).add_to(matrix)
-    return matrix
+    terms = TermList(terms=(term,), n_spin_orbitals=n_spin_orbitals)
+    return build_matrix(terms, qubit_cap=qubit_cap).matrix
 
 
 @dataclasses.dataclass(frozen=True)
@@ -296,14 +304,11 @@ def _resolve_sector(terms, particle_sector):
     return particle_sector
 
 
-def _sz_blocks(actions, states):
+def _sz_blocks(table, states):
     """Positions of each Sz block of states, or None if a term flips spin."""
     twice_sz = _twice_sz(states)
-    for action in actions:
-        if action.diagonal is None and np.any(
-            twice_sz[action.source] != twice_sz[action.target]
-        ):
-            return None
+    if np.any(twice_sz[table.source] != twice_sz[table.target]):
+        return None
     values = sorted(set(twice_sz.tolist()), key=lambda v: (abs(v), v))
     return [np.nonzero(twice_sz == value)[0] for value in values]
 
@@ -382,27 +387,20 @@ class _StrangEvaluator:
     """
 
     def __init__(self, terms, particle_sector="auto", qubit_cap=DEFAULT_QUBIT_CAP):
-        n_so = terms.n_spin_orbitals
-        _check_cap(n_so, qubit_cap)
         sector = _resolve_sector(terms, particle_sector)
         self.terms = terms
-        self.states = _basis_states(n_so, sector)
-        self.actions = _actions(terms, self.states)
-        matrix = build_matrix(
-            terms, particle_sector=sector, include_core=False, qubit_cap=qubit_cap
-        ).matrix
+        built = build_matrix(terms, sector, include_core=False, qubit_cap=qubit_cap)
+        self.states, self.actions = built.basis_states, built._actions
         blocks = None if sector is None else _sz_blocks(self.actions, self.states)
         best = None
         for positions in blocks or [np.arange(len(self.states))]:
-            evals, evecs = np.linalg.eigh(matrix[np.ix_(positions, positions)])
+            evals, evecs = np.linalg.eigh(built.matrix[np.ix_(positions, positions)])
             if best is None or evals[0] < best[0] - _DEGENERACY_TOL:
                 best = (float(evals[0]), evecs[:, 0], positions)
         self.e_fci_electronic, self.ground, positions = best
         if len(positions) < len(self.states):
-            inverse = np.full(len(self.states), -1)
-            inverse[positions] = np.arange(len(positions))
             self.states = self.states[positions]
-            self.actions = [a.restricted(positions, inverse) for a in self.actions]
+            self.actions = self.actions.restricted(positions)
 
     def _half_products(self, ts):
         """Forward half-products at every step size, stacked state-major.
@@ -415,25 +413,26 @@ class _StrangEvaluator:
 
             exp(-i a (E + E^T)) = I + (cos(a) - 1) P - i sin(a) (E + E^T)
 
-        with a = w t / 2: one gather, rotate and scatter of its source and
-        target rows for all T at once. A diagonal term only multiplies a
-        pending (dim, T) phase; a rotation folds the pending phases of the
-        rows it touches into its coefficients, and the rest are applied
-        once at the end.
+        with a = w t / 2: one gather, rotate and scatter of the source and
+        target rows of its slice of the action table, for all T at once. A
+        diagonal term's row of the table only multiplies a pending (dim, T)
+        phase; a rotation folds the pending phases of the rows it touches
+        into its coefficients, and the rest are applied once at the end.
         """
         dim = len(self.states)
         half = np.asarray(ts, dtype=float) / 2.0
         stack = np.zeros((dim, len(half), dim), dtype=complex)
         stack[np.arange(dim), :, np.arange(dim)] = 1.0
         pending = np.ones((dim, len(half)), dtype=complex)
-        for action in reversed(self.actions):
-            if action.diagonal is not None:
-                pending *= np.exp(-1j * np.multiply.outer(action.diagonal, half))
+        actions = zip(self.actions.coefficients.tolist(), self.actions.per_term())
+        for coefficient, action in reversed(list(actions)):
+            if not isinstance(action, tuple):
+                pending *= np.exp(-1j * np.multiply.outer(action, half))
                 continue
-            angle = half * action.term.coefficient
+            src, tgt, sign = action
+            angle = half * coefficient
             cos = np.cos(angle)
-            hop = -1j * np.sin(angle) * action.signs[:, None]
-            src, tgt = action.source, action.target
+            hop = -1j * np.sin(angle) * sign[:, None]
             phase_src, phase_tgt = pending[src], pending[tgt]
             rows_src, rows_tgt = stack[src], stack[tgt]
             rotated = rows_src * (cos * phase_src)[..., None]

@@ -22,11 +22,16 @@ the package's term enumeration, matrix builder, or cost formulas:
   and ladder properties, and score triples with the evaluator's gamma.
   random_canonical_terms draws synthetic term lists of any register width
   for them.
+* the former per-term set-up of the Strang oracle, the reference for its
+  action table: one ScalarTermAction per term, built operator by
+  operator, the dense matrix assembled one term at a time and the
+  spin-flip test term by term.
 * the former per-step Strang oracle, the reference for the batched scan:
   each step unitary as its own product of term exponentials, a complex
-  np.linalg.eig and the maximal-overlap selection. It shares the package's
-  sector and Sz-block choice and term actions, but replays the block's
-  actions from the terms instead of deriving them from the sector's.
+  np.linalg.eig and the maximal-overlap selection. It makes the package's
+  sector and Sz-block choice with the scalar set-up above, and replays
+  the block's actions from the terms instead of deriving them from the
+  sector's.
 
 Spin-orbital convention matches the package contract: spatial p (1-based)
 owns spin orbitals 2p-1 (up) and 2p (down). Internally this module uses
@@ -54,12 +59,10 @@ from qsimcost.oracle import (
     _DEGENERACY_TOL,
     DEFAULT_QUBIT_CAP,
     TrotterExactReport,
-    _actions,
     _basis_states,
     _check_cap,
     _resolve_sector,
-    _sz_blocks,
-    build_matrix,
+    _twice_sz,
 )
 from qsimcost.trotter import _strata
 
@@ -643,6 +646,98 @@ def scalar_nesting_batches(terms):
     return sizes
 
 
+class ScalarTermAction:
+    """Precomputed action of one merged term on a fixed basis-state set.
+
+    For diagonal terms the action is a real diagonal vector. For the rest it
+    is the representative monomial E as (source positions, target positions,
+    signs); the merged operator is coefficient * (E + E^T).
+    """
+
+    def __init__(self, term, states, position_of):
+        self.term = term
+        ops = self._operator_sequence(term)
+        state = states.copy()
+        sign = np.ones(len(states), dtype=np.int64)
+        alive = np.ones(len(states), dtype=bool)
+        for kind, orb in ops:  # ops listed right to left, applied in order
+            bit = np.int64(1) << np.int64(orb - 1)
+            occupied = (state & bit) != 0
+            alive &= occupied if kind == "-" else ~occupied
+            below = state & (bit - 1)
+            sign = np.where(np.bitwise_count(below) & 1, -sign, sign)
+            state = state ^ bit
+        src = np.nonzero(alive)[0]
+        tgt_states = state[src]
+        if term.is_diagonal:
+            if not np.array_equal(tgt_states, states[src]):
+                raise AssertionError("diagonal term moved a basis state")
+            diag = np.zeros(len(states))
+            diag[src] = sign[src].astype(float)
+            self.diagonal = diag * term.coefficient
+            self.source = self.target = None
+            self.signs = None
+        else:
+            self.diagonal = None
+            self.source = src
+            self.target = position_of(tgt_states)
+            self.signs = sign[src].astype(float)
+
+    @staticmethod
+    def _operator_sequence(term):
+        """Right-to-left elementary operators of the representative monomial."""
+        return [("-", a) for a in term.annihilation] + [
+            ("+", c) for c in term.creation[::-1]
+        ]
+
+    def add_to(self, matrix):
+        """Accumulate the merged Hermitian term into a dense matrix."""
+        if self.diagonal is not None:
+            matrix[np.diag_indices_from(matrix)] += self.diagonal
+            return
+        amp = self.term.coefficient * self.signs
+        np.add.at(matrix, (self.target, self.source), amp)
+        np.add.at(matrix, (self.source, self.target), amp)
+
+
+def scalar_actions(terms, states):
+    """One ScalarTermAction per term on the ascending basis states."""
+    if len(states) == (1 << terms.n_spin_orbitals):
+        def position_of(patterns):
+            return patterns
+    else:
+        def position_of(patterns):
+            pos = np.searchsorted(states, patterns)
+            if np.any(pos >= len(states)) or np.any(states[pos] != patterns):
+                raise AssertionError("term left the particle sector")
+            return pos
+
+    return [ScalarTermAction(t, states, position_of) for t in terms]
+
+
+def scalar_build_matrix(terms, particle_sector=None, include_core=True):
+    """build_matrix's dense matrix, assembled one term after the other."""
+    states = _basis_states(terms.n_spin_orbitals, particle_sector)
+    matrix = np.zeros((len(states), len(states)))
+    for action in scalar_actions(terms, states):
+        action.add_to(matrix)
+    if include_core:
+        matrix[np.diag_indices_from(matrix)] += terms.core_energy
+    return matrix
+
+
+def scalar_sz_blocks(actions, states):
+    """Positions of each Sz block of states, or None if a term flips spin."""
+    twice_sz = _twice_sz(states)
+    for action in actions:
+        if action.diagonal is None and np.any(
+            twice_sz[action.source] != twice_sz[action.target]
+        ):
+            return None
+    values = sorted(set(twice_sz.tolist()), key=lambda v: (abs(v), v))
+    return [np.nonzero(twice_sz == value)[0] for value in values]
+
+
 def apply_term_exponential(action, time_slice, matrix):
     """matrix <- exp(-i * time_slice * term_operator) @ matrix, in place.
 
@@ -681,11 +776,11 @@ class ReferenceStrangEvaluator:
         sector = _resolve_sector(terms, particle_sector)
         self.terms = terms
         self.states = _basis_states(n_so, sector)
-        self.actions = _actions(terms, self.states)
-        matrix = build_matrix(
-            terms, particle_sector=sector, include_core=False, qubit_cap=qubit_cap
-        ).matrix
-        blocks = None if sector is None else _sz_blocks(self.actions, self.states)
+        self.actions = scalar_actions(terms, self.states)
+        matrix = scalar_build_matrix(terms, sector, include_core=False)
+        blocks = None if sector is None else scalar_sz_blocks(
+            self.actions, self.states
+        )
         best = None
         for positions in blocks or [np.arange(len(self.states))]:
             evals, evecs = np.linalg.eigh(matrix[np.ix_(positions, positions)])
@@ -694,7 +789,7 @@ class ReferenceStrangEvaluator:
         self.e_fci_electronic, self.ground, positions = best
         if len(positions) < len(self.states):
             self.states = self.states[positions]
-            self.actions = _actions(terms, self.states)
+            self.actions = scalar_actions(terms, self.states)
 
     def step_unitary(self, t):
         """One second-order step: forward half-products then their reverse.

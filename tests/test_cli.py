@@ -172,6 +172,22 @@ def test_oracle_validate_survives_a_huge_diagonal_integral(
     assert data["checked"] == 20 - wrapped
 
 
+def test_oracle_validate_with_every_term_dropped(capsys):
+    # an empty term list in the 70-state sector: U is the identity, so every
+    # row reads the core energy with no error and no bound
+    data = run_json(
+        capsys, "oracle-validate", "--fcidump", H4, "--drop-threshold", "100"
+    )
+    core = load_molecule("h4_chain").core_energy
+    assert data["h_bound"] == 0.0
+    assert data["checked"] == len(data["rows"]) == 20
+    assert data["violations"] == []
+    for row in data["rows"]:
+        assert row["e_fci"] == row["e_effective"] == core
+        assert row["delta_e"] == row["bound"] == 0.0
+        assert row["ground_overlap"] == 1.0
+
+
 def test_oracle_validate_refuses_wide_register_before_computing_h(
     capsys, monkeypatch
 ):

@@ -20,7 +20,6 @@ from qsimcost import (
     logical_qubit_count,
     optimize_budget,
     par_factory_time_per_rotation,
-    par_rotation_factories,
     strategy_report,
 )
 from qsimcost.costs import (

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 
@@ -22,10 +23,11 @@ from qsimcost import (
 
 from oracles import (
     ReferenceStrangEvaluator,
-    fci_ground,
+    ScalarTermAction,
     hamiltonian_from_integrals,
     hf_overlap,
     reference_strang_scan,
+    scalar_build_matrix,
 )
 
 # frozen ground energies (core included) and reference-determinant overlaps
@@ -264,21 +266,26 @@ def test_evaluator_narrows_sector_to_ground_sz_block():
     )
 
 
-def test_spin_flip_term_keeps_the_whole_sector():
-    # a PQ term between spin orbitals 1 (up) and 2 (down) breaks Sz
-    # conservation, so the evaluator falls back to the particle sector
-    from qsimcost.oracle import _StrangEvaluator
-
+def spin_flip_terms():
+    """H2 with a PQ term between spin orbitals 1 (up) and 2 (down)."""
     base = molecule_terms("h2_sto3g")
     lines = export_terms(base).splitlines()
     assert lines[0].startswith("PP 1 ")
     lines.insert(1, "PQ 1 2 0.05")
-    terms = parse_terms(
+    return parse_terms(
         "\n".join(lines),
         n_spin_orbitals=base.n_spin_orbitals,
         n_electrons=base.n_electrons,
         core_energy=base.core_energy,
     )
+
+
+def test_spin_flip_term_keeps_the_whole_sector():
+    # the spin flip breaks Sz conservation, so the evaluator falls back to
+    # the particle sector
+    from qsimcost.oracle import _StrangEvaluator
+
+    terms = spin_flip_terms()
     assert len(_StrangEvaluator(terms).states) == math.comb(4, 2)
     for t in (0.2, 0.05):
         restricted = strang_error_scan(terms, [t])[0]
@@ -367,6 +374,9 @@ def test_empirical_trotter_number_raises_when_unreachable():
 SCAN_GRID = np.geomspace(1e-3, 0.2, 20)
 
 
+FIXTURE_CHAINS = ("h5p_chain", "h6_chain")
+
+
 def chain_terms(label):
     return enumerate_terms(parse_fcidump(FIXTURES / f"{label}.fcidump"))
 
@@ -442,25 +452,103 @@ def test_scan_split_over_chunks_matches_one_chunk(monkeypatch):
 
 @pytest.mark.parametrize("name", ["h4_chain", "h5p_chain"])
 def test_sz_block_actions_equal_replayed_actions(name):
-    # the block's actions come from the sector's by renumbering; replaying
-    # the terms on the block's states gives the same arrays
+    # the block's table comes from the sector's by renumbering; each term's
+    # slice of it equals the scalar replay of the term on the block's states
     from qsimcost.oracle import _StrangEvaluator
 
     terms = chain_terms(name) if name == "h5p_chain" else molecule_terms(name)
     evaluator = _StrangEvaluator(terms)
     replayed = ReferenceStrangEvaluator(terms)
     assert np.array_equal(evaluator.states, replayed.states)
-    assert len(evaluator.actions) == len(replayed.actions) == len(terms)
-    for got, want in zip(evaluator.actions, replayed.actions):
-        assert got.term is want.term
+    table = evaluator.actions
+    assert np.array_equal(table.coefficients, terms.coefficients)
+    got_actions = table.per_term()
+    assert len(got_actions) == len(replayed.actions) == len(terms)
+    for got, want in zip(got_actions, replayed.actions):
         if want.diagonal is not None:
-            assert np.array_equal(got.diagonal, want.diagonal)
-            assert got.source is None
+            assert np.array_equal(got, want.diagonal)
             continue
-        assert got.diagonal is None
-        assert np.array_equal(got.source, want.source)
-        assert np.array_equal(got.target, want.target)
-        assert np.array_equal(got.signs, want.signs)
+        source, target, sign = got
+        assert sign.dtype == np.int8
+        assert np.array_equal(source, want.source)
+        assert np.array_equal(target, want.target)
+        assert np.array_equal(sign, want.signs)
+
+
+# ---------------------------------------------------------------------------
+# Action table against the scalar per-term set-up
+# ---------------------------------------------------------------------------
+
+def sector_cases():
+    cases = [(name, sector) for name in MOLECULES for sector in ("n", None)]
+    return cases + [("h5p_chain", "n"), ("h5p_chain", None), ("h6_chain", "n")]
+
+
+@pytest.mark.parametrize("name,sector", sector_cases())
+def test_build_matrix_equals_scalar_assembly(name, sector):
+    # one np.add.at per triangle and the diagonal in list order add every
+    # element in the same order as term-by-term assembly: equal bits
+    terms = chain_terms(name) if name in FIXTURE_CHAINS else molecule_terms(name)
+    sector = terms.n_electrons if sector == "n" else None
+    got = build_matrix(terms, particle_sector=sector).matrix
+    assert np.array_equal(got, scalar_build_matrix(terms, sector))
+
+
+@pytest.mark.parametrize("term", [
+    HamiltonianTerm("PP", (3,), 0.3, 0.3),
+    HamiltonianTerm("PQ", (1, 4), -0.2, 0.2),
+    HamiltonianTerm("PQQP", (2, 5, 2, 5), 0.7, 0.7),
+    HamiltonianTerm("PQQR", (1, 3, 3, 6), 0.11, 0.11),
+    HamiltonianTerm("PQRS", (1, 4, 2, 6), -0.13, 0.13),
+], ids=lambda term: term.term_class)
+def test_term_matrix_equals_scalar_action(term):
+    states = np.arange(1 << 6, dtype=np.int64)
+    want = np.zeros((64, 64))
+    ScalarTermAction(term, states, lambda p: p).add_to(want)
+    assert np.any(want != 0)
+    assert np.array_equal(term_matrix(term, 6), want)
+
+
+def edge_lists():
+    h4 = molecule_terms("h4_chain")
+    return {
+        "empty": TermList(terms=(), n_spin_orbitals=4, n_electrons=2,
+                          core_energy=0.5),
+        "diagonal_only": TermList(
+            terms=[t for t in h4 if t.is_diagonal], n_spin_orbitals=8,
+            n_electrons=4, core_energy=h4.core_energy,
+        ),
+        "spin_flip": spin_flip_terms(),
+    }
+
+
+@pytest.mark.parametrize("label", ["empty", "diagonal_only", "spin_flip"])
+def test_edge_lists_match_scalar_matrix_and_reference_rows(label):
+    terms = edge_lists()[label]
+    for sector in (terms.n_electrons, None):
+        got = build_matrix(terms, particle_sector=sector).matrix
+        assert np.array_equal(got, scalar_build_matrix(terms, sector))
+        assert_rows_match(
+            strang_error_scan(terms, SCAN_GRID, particle_sector=sector),
+            reference_strang_scan(terms, SCAN_GRID, particle_sector=sector),
+        )
+
+
+def test_table_split_over_chunks_matches_one_chunk(monkeypatch):
+    from qsimcost import oracle
+
+    terms = chain_terms("h5p_chain")
+    states = oracle._basis_states(terms.n_spin_orbitals, terms.n_electrons)
+    assert len(terms) * len(states) <= 2**16
+    monkeypatch.setattr(oracle, "_TABLE_ENTRIES", len(terms) * len(states))
+    whole = oracle._action_table(terms, states)
+    # seven terms of the 210-state sector per chunk: 36 chunks, the last
+    # one partial
+    monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 7 * 210 + 209)
+    split = oracle._action_table(terms, states)
+    for field in dataclasses.fields(whole):
+        a, b = getattr(split, field.name), getattr(whole, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
 
 
 def test_mirrored_eigenphases_get_a_second_eigh():

@@ -3,7 +3,6 @@ import pathlib
 import random
 import types
 
-import numpy as np
 import pytest
 
 from qsimcost import (
