@@ -37,6 +37,7 @@ class     operator                               canonical index tuple
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -385,7 +386,8 @@ def parse_fcidump(source, source_label=None):
 
     Raises:
         ValueError: malformed header, orbital index out of range, or a
-            non-numeric value field, each reported with its line number.
+            non-numeric or non-finite value field, each reported with its
+            line number.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -429,6 +431,8 @@ def parse_fcidump(source, source_label=None):
             value = float(parts[0])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric value {parts[0]!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: non-finite value {parts[0]!r}")
         try:
             p, q, r, s = (int(x) for x in parts[1:5])
         except ValueError:
@@ -722,7 +726,8 @@ def export_terms(terms):
 
 
 def parse_terms(text, n_spin_orbitals, n_electrons=0, core_energy=0.0):
-    """Inverse of export_terms; validates classes and canonical order."""
+    """Inverse of export_terms; validates classes, finite coefficients and
+    canonical order."""
     terms = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
@@ -736,6 +741,8 @@ def parse_terms(text, n_spin_orbitals, n_electrons=0, core_energy=0.0):
             coefficient = float(parts[-1])
         except ValueError:
             raise ValueError(f"line {lineno}: malformed term line {line!r}") from None
+        if not math.isfinite(coefficient):
+            raise ValueError(f"line {lineno}: non-finite value {parts[-1]!r}")
         terms.append(
             HamiltonianTerm(
                 term_class=cls,

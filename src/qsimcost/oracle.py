@@ -14,18 +14,22 @@ off-diagonal matrix element, and the diagonal of each diagonal term.
 build_matrix assembles the matrix from it, and the Strang oracle builds
 it once per scan, through the sector build_matrix call.
 
-The Strang-step oracle narrows a particle sector further when it can: if
-every term also conserves Sz, the step unitary, its eigendecomposition and
-the overlap selection live in the Sz block that holds the sector's ground
-state (for H6 in 12 spin orbitals, 400 of the sector's 924 states). The
-block's table is the sector's, renumbered.
+The Strang-step oracle narrows a particle sector further. Every term maps
+basis states only along its own (source, target) entries, so H and the
+step unitary are block-diagonal over the connected components of that
+state graph; the step unitary, its eigendecomposition and the overlap
+selection live in the component that holds the sector's ground state.
+When every term conserves Sz, each component lies in one Sz block (for
+the hydrogen chains, inversion parity then halves the block: for H6 in
+12 spin orbitals, 200 of the sector's 924 states). The component's table
+is the sector's, renumbered.
 
 A scan runs as one batched computation over its step sizes. The forward
 half-products of every step size in a chunk come from one pass over the
 terms, and one real symmetric eigh per step diagonalizes the complex
 symmetric unitary step (see strang_error_scan). A chunk holds at most
 2**18 complex entries of half-products (4 MB): 20 step sizes of H5+'s
-100-state block, one of H6's 400-state block.
+52-state component, six of H6's 200-state one.
 
 The register is capped (default 14 spin orbitals, a 16384-dimensional Fock
 space). Full-space dense work at the cap needs several GB; practical test
@@ -111,13 +115,14 @@ class _ActionTable:
         return actions
 
     def restricted(self, positions):
-        """This table on the states at positions, an Sz block, renumbered."""
+        """This table on the states at positions, a block closed under its
+        entries, renumbered."""
         inverse = np.full(self.diagonal.shape[1], -1)
         inverse[positions] = np.arange(len(positions))
         source, target = inverse[self.source], inverse[self.target]
         keep = source >= 0
         if np.any(keep != (target >= 0)):
-            raise AssertionError("term left the Sz block")
+            raise AssertionError("term left the block")
         return dataclasses.replace(
             self, term=self.term[keep], source=source[keep], target=target[keep],
             sign=self.sign[keep], diagonal=self.diagonal[:, positions],
@@ -218,11 +223,24 @@ def build_matrix(terms, particle_sector=None, include_core=True,
         qubit_cap: hard size limit on the register.
 
     Returns:
-        FockMatrixHamiltonian. The matrix is Hermitian by construction and
-        verified to round-off.
+        FockMatrixHamiltonian. The matrix is symmetric by construction and
+        verified to be exactly so.
+
+    Raises:
+        ValueError: a coefficient is not finite (the message names the
+            first such term row), or the core energy is not.
     """
     n_so = terms.n_spin_orbitals
     _check_cap(n_so, qubit_cap)
+    bad = np.flatnonzero(~np.isfinite(terms.coefficients))
+    if len(bad):
+        term = terms[int(bad[0])]
+        raise ValueError(
+            f"term row {bad[0]} ({term.term_class} {term.spin_orbitals}): "
+            f"non-finite coefficient {term.coefficient!r}"
+        )
+    if not math.isfinite(terms.core_energy):
+        raise ValueError(f"non-finite core energy {terms.core_energy!r}")
     states = _basis_states(n_so, particle_sector)
     table = _action_table(terms, states)
     # each triangle takes its entries in one np.add.at, which adds in entry
@@ -233,14 +251,13 @@ def build_matrix(terms, particle_sector=None, include_core=True,
     low, high = np.sort([table.source, table.target], axis=0)
     np.add.at(matrix, (high, low), amp)
     np.add.at(matrix, (low, high), amp)
-    del amp, low, high  # gone before the check's (dim, dim) temporaries
     for values in table.diagonal:
         matrix[np.diag_indices_from(matrix)] += values
     if include_core:
         matrix[np.diag_indices_from(matrix)] += terms.core_energy
-    defect = float(np.max(np.abs(matrix - matrix.T)))
-    scale = max(1.0, float(np.max(np.abs(matrix))))
-    if defect > 1e-12 * scale:
+    # both triangles take the same entries in the same order: exact symmetry
+    if not np.array_equal(matrix, matrix.T):
+        defect = float(np.max(np.abs(matrix - matrix.T)))
         raise AssertionError(f"assembled matrix is not symmetric, defect {defect:g}")
     return FockMatrixHamiltonian(
         matrix=matrix,
@@ -263,8 +280,8 @@ class TrotterExactReport:
 
     Attributes:
         t: step size in inverse Hartree.
-        e_fci: exact ground energy in the evaluation sector or Sz block
-            (core included), Hartree.
+        e_fci: exact ground energy in the evaluation sector or its
+            connected component (core included), Hartree.
         e_effective: eigenphase energy of the step unitary whose eigenvector
             best overlaps the exact ground state, core included.
         delta_e: abs(e_effective - e_fci), Hartree.
@@ -313,13 +330,42 @@ def _sz_blocks(table, states):
     return [np.nonzero(twice_sz == value)[0] for value in values]
 
 
-# ground energies of Sz blocks closer than this count as degenerate, so the
-# smaller |Sz| wins (Hartree)
+def _component_labels(table, n_states):
+    """Smallest position in each state's connected component of the graph
+    of the table's (source, target) entries: labels fall to the smallest
+    label of any neighbour, then jump to their label's label, until stable."""
+    label = np.arange(n_states)
+    while True:
+        lower = label.copy()
+        np.minimum.at(lower, table.source, label[table.target])
+        np.minimum.at(lower, table.target, label[table.source])
+        while not np.array_equal(jumped := lower[lower], lower):
+            lower = jumped
+        if np.array_equal(lower, label):
+            return label
+        label = lower
+
+
+def _components(table, states):
+    """Positions of each connected component of states: Sz block by Sz
+    block in _sz_blocks order (all states as one block if a term flips
+    spin), each block's components by first position."""
+    label = _component_labels(table, len(states))
+    blocks = _sz_blocks(table, states) or [np.arange(len(states))]
+    return [
+        block[label[block] == root]
+        for block in blocks for root in np.unique(label[block])
+    ]
+
+
+# ground energies of components closer than this count as degenerate, so
+# the earlier one wins: the smaller |Sz|, then the smaller first position
+# (Hartree)
 _DEGENERACY_TOL = 1e-10
 
 # complex entries in one chunk's stack of half-products, a bound on the
-# scan's working memory: H5+ (100 states) scans 20 step sizes per chunk,
-# H6 (400 states) one
+# scan's working memory: H5+ (a 52-state component) scans 20 step sizes per
+# chunk, H6 (200 states) six
 _STACK_ENTRIES = 2**18
 
 # the real symmetric matrix Re U + _MIX * Im U has the eigenvectors of a
@@ -379,11 +425,12 @@ class _StrangEvaluator:
 
     Every term conserves particle number, so when a sector is given the
     whole evaluation runs inside that block of the Fock space and the
-    reference ground state is the sector ground state. When every term
-    also conserves Sz, the evaluation narrows to the Sz block holding the
-    sector's ground state: the block of lowest ground energy, ties going
-    to the smaller |Sz|. A term list with a spin-flip term keeps the whole
-    sector; particle_sector=None keeps the whole Fock space.
+    reference ground state is the sector ground state. Inside the sector
+    the evaluation narrows to the connected component of the terms' state
+    graph that holds the sector's ground state: the component of lowest
+    ground energy, ties going to the smaller |Sz| when every term
+    conserves Sz, then to the smaller first position.
+    particle_sector=None keeps the whole Fock space.
     """
 
     def __init__(self, terms, particle_sector="auto", qubit_cap=DEFAULT_QUBIT_CAP):
@@ -391,13 +438,23 @@ class _StrangEvaluator:
         self.terms = terms
         built = build_matrix(terms, sector, include_core=False, qubit_cap=qubit_cap)
         self.states, self.actions = built.basis_states, built._actions
-        blocks = None if sector is None else _sz_blocks(self.actions, self.states)
-        best = None
-        for positions in blocks or [np.arange(len(self.states))]:
-            evals, evecs = np.linalg.eigh(built.matrix[np.ix_(positions, positions)])
-            if best is None or evals[0] < best[0] - _DEGENERACY_TOL:
-                best = (float(evals[0]), evecs[:, 0], positions)
-        self.e_fci_electronic, self.ground, positions = best
+        blocks = (
+            [np.arange(len(self.states))] if sector is None
+            else _components(self.actions, self.states)
+        )
+        positions = blocks[0]
+        if len(blocks) > 1:
+            lows = [
+                np.linalg.eigvalsh(built.matrix[np.ix_(block, block)])[0]
+                for block in blocks
+            ]
+            best = 0
+            for k, low in enumerate(lows):
+                if low < lows[best] - _DEGENERACY_TOL:
+                    best = k
+            positions = blocks[best]
+        evals, evecs = np.linalg.eigh(built.matrix[np.ix_(positions, positions)])
+        self.e_fci_electronic, self.ground = float(evals[0]), evecs[:, 0]
         if len(positions) < len(self.states):
             self.states = self.states[positions]
             self.actions = self.actions.restricted(positions)
@@ -531,9 +588,9 @@ def strang_error_scan(terms, ts, particle_sector="auto",
             the wrap.
         particle_sector: "auto" restricts to the term list's electron count
             when it is positive; None forces the full Fock space; an int
-            picks that sector. Inside a sector, a term list that conserves
-            Sz is evaluated in the Sz block holding the sector's ground
-            state; one with a spin-flip term keeps the whole sector.
+            picks that sector. Inside a sector, the evaluation runs in the
+            connected component of the terms' state graph that holds the
+            sector's ground state.
         qubit_cap: dense-space size limit.
 
     Returns:

@@ -24,14 +24,15 @@ the package's term enumeration, matrix builder, or cost formulas:
   for them.
 * the former per-term set-up of the Strang oracle, the reference for its
   action table: one ScalarTermAction per term, built operator by
-  operator, the dense matrix assembled one term at a time and the
-  spin-flip test term by term.
+  operator, the dense matrix assembled one term at a time, the
+  spin-flip test term by term, and the connected components of the
+  terms' state graph by breadth-first walks.
 * the former per-step Strang oracle, the reference for the batched scan:
   each step unitary as its own product of term exponentials, a complex
   np.linalg.eig and the maximal-overlap selection. It makes the package's
-  sector and Sz-block choice with the scalar set-up above, and replays
-  the block's actions from the terms instead of deriving them from the
-  sector's.
+  sector and component choice with the scalar set-up above (or, on
+  request, the former Sz-block choice), and replays the chosen block's
+  actions from the terms instead of deriving them from the sector's.
 
 Spin-orbital convention matches the package contract: spatial p (1-based)
 owns spin orbitals 2p-1 (up) and 2p (down). Internally this module uses
@@ -40,6 +41,7 @@ owns spin orbitals 2p-1 (up) and 2p (down). Internally this module uses
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import types
@@ -738,6 +740,35 @@ def scalar_sz_blocks(actions, states):
     return [np.nonzero(twice_sz == value)[0] for value in values]
 
 
+def scalar_components(actions, states):
+    """Positions of each connected component of the states' action graph:
+    Sz block by Sz block in scalar_sz_blocks order (all states as one block
+    if a term flips spin), each block's components by first position."""
+    neighbours = [set() for _ in range(len(states))]
+    for action in actions:
+        if action.diagonal is None:
+            for a, b in zip(action.source.tolist(), action.target.tolist()):
+                neighbours[a].add(b)
+                neighbours[b].add(a)
+    blocks = scalar_sz_blocks(actions, states) or [np.arange(len(states))]
+    components = []
+    for block in blocks:
+        seen = set()
+        for start in block.tolist():
+            if start in seen:
+                continue
+            seen.add(start)
+            queue, component = collections.deque([start]), []
+            while queue:
+                position = queue.popleft()
+                component.append(position)
+                for other in neighbours[position] - seen:
+                    seen.add(other)
+                    queue.append(other)
+            components.append(np.array(sorted(component)))
+    return components
+
+
 def apply_term_exponential(action, time_slice, matrix):
     """matrix <- exp(-i * time_slice * term_operator) @ matrix, in place.
 
@@ -764,13 +795,15 @@ def apply_term_exponential(action, time_slice, matrix):
 class ReferenceStrangEvaluator:
     """The Strang oracle one step size at a time with a complex eig.
 
-    The same sector and Sz-block choice as the package's evaluator, but
+    The same sector and component choice as the package's evaluator, but
     the block's term actions are replayed from the terms, each step
     unitary is built on its own, and its eigenvectors come from
-    np.linalg.eig of the complex matrix.
+    np.linalg.eig of the complex matrix. split=scalar_sz_blocks makes the
+    former choice among whole Sz blocks instead.
     """
 
-    def __init__(self, terms, particle_sector="auto", qubit_cap=DEFAULT_QUBIT_CAP):
+    def __init__(self, terms, particle_sector="auto", qubit_cap=DEFAULT_QUBIT_CAP,
+                 split=scalar_components):
         n_so = terms.n_spin_orbitals
         _check_cap(n_so, qubit_cap)
         sector = _resolve_sector(terms, particle_sector)
@@ -778,9 +811,7 @@ class ReferenceStrangEvaluator:
         self.states = _basis_states(n_so, sector)
         self.actions = scalar_actions(terms, self.states)
         matrix = scalar_build_matrix(terms, sector, include_core=False)
-        blocks = None if sector is None else scalar_sz_blocks(
-            self.actions, self.states
-        )
+        blocks = None if sector is None else split(self.actions, self.states)
         best = None
         for positions in blocks or [np.arange(len(self.states))]:
             evals, evecs = np.linalg.eigh(matrix[np.ix_(positions, positions)])
@@ -835,7 +866,8 @@ class ReferenceStrangEvaluator:
         )
 
 
-def reference_strang_scan(terms, ts, particle_sector="auto"):
+def reference_strang_scan(terms, ts, particle_sector="auto",
+                          split=scalar_components):
     """strang_error_scan one reference step size at a time."""
-    evaluator = ReferenceStrangEvaluator(terms, particle_sector)
+    evaluator = ReferenceStrangEvaluator(terms, particle_sector, split=split)
     return [evaluator.report(float(t)) for t in ts]

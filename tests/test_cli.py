@@ -101,7 +101,7 @@ def test_report_names_a_negative_seed(capsys):
 
 
 def test_oracle_validate_bound_holds(capsys):
-    # H2 on a short grid; h4_chain (a 36-state Sz block) on the default one
+    # H2 on a short grid; h4_chain (a 20-state component) on the default one
     for argv in ((H2, "--points", "6"), (H4,)):
         data = run_json(
             capsys, "oracle-validate", "--fcidump", *argv, "--strict"
@@ -130,6 +130,24 @@ def test_overflowing_error_constant_is_named(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: error constant h overflows")
+
+
+@pytest.mark.parametrize("command", ["trotter-bound", "report", "oracle-validate"])
+def test_non_finite_integral_is_named_by_line(tmp_path, capsys, command):
+    # a nan integral used to surface as "error constant h overflows"
+    source = _DATA.joinpath("h2_sto3g.fcidump").read_text()
+    original = "6.9739376735855618E-01    2    2    2    2"
+    lineno = next(
+        k for k, line in enumerate(source.splitlines(), 1) if original in line
+    )
+    path = tmp_path / "nan.fcidump"
+    path.write_text(source.replace(original, "nan    2    2    2    2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--fcidump", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line {lineno}: non-finite value 'nan'\n"
 
 
 # the id stays [method1] so recorded test ids keep matching

@@ -128,6 +128,13 @@ def test_parse_error_reports_line_number():
         parse_fcidump(io.StringIO(text))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_parse_error_names_a_non_finite_value(value):
+    text = HEADER + f"  0.5 1 1 1 1\n  {value} 1 2 0 0\n"
+    with pytest.raises(ValueError, match=f"line 6: non-finite value '{value}'"):
+        parse_fcidump(io.StringIO(text))
+
+
 def test_parse_error_index_out_of_range():
     text = HEADER + "  0.5 1 3 1 1\n"
     with pytest.raises(ValueError, match="line 5.*out of range"):
@@ -575,3 +582,9 @@ def test_export_parse_terms_round_trip():
 def test_parse_terms_rejects_unknown_class():
     with pytest.raises(ValueError, match="line 1: unknown term class"):
         parse_terms("XX 1 2 0.5\n", n_spin_orbitals=4)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_terms_rejects_a_non_finite_coefficient(value):
+    with pytest.raises(ValueError, match=f"line 2: non-finite value '{value}'"):
+        parse_terms(f"PP 1 -1.0\nPQ 1 3 {value}\nPP 3 -0.5\n", 4, 1)

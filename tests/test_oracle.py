@@ -28,6 +28,7 @@ from oracles import (
     hf_overlap,
     reference_strang_scan,
     scalar_build_matrix,
+    scalar_sz_blocks,
 )
 
 # frozen ground energies (core included) and reference-determinant overlaps
@@ -256,11 +257,15 @@ def test_evaluator_narrows_sector_to_ground_sz_block():
 
     terms = molecule_terms("h4_chain")
     evaluator = _StrangEvaluator(terms)
-    # 2 up and 2 down electrons in 4 spatial orbitals, not the 70 states
-    # of the 4-electron sector
-    assert len(evaluator.states) == math.comb(4, 2) ** 2 == 36
+    # the Sz = 0 block (2 up and 2 down electrons in 4 spatial orbitals) has
+    # 36 of the 4-electron sector's 70 states; every term conserves the
+    # chain's inversion parity, which splits it into 20 and 16 states
+    assert len(evaluator.states) == 20 < math.comb(4, 2) ** 2
     up = sum(bin(int(s) & 0x55).count("1") for s in evaluator.states)
     assert up == 2 * len(evaluator.states)
+    assert np.array_equal(
+        evaluator.states, ReferenceStrangEvaluator(terms).states
+    )
     assert evaluator.e_fci_electronic + terms.core_energy == pytest.approx(
         FCI_ENERGY["h4_chain"], abs=1e-8
     )
@@ -281,17 +286,56 @@ def spin_flip_terms():
 
 
 def test_spin_flip_term_keeps_the_whole_sector():
-    # the spin flip breaks Sz conservation, so the evaluator falls back to
-    # the particle sector
-    from qsimcost.oracle import _StrangEvaluator
+    # the spin flip breaks Sz conservation, so the evaluator splits the
+    # whole 6-state particle sector: the flip joins the four states with one
+    # electron per spatial orbital, and the ground state keeps the two
+    # closed-shell ones, |1u 1d> and |2u 2d>
+    from qsimcost.oracle import _StrangEvaluator, _components
 
     terms = spin_flip_terms()
-    assert len(_StrangEvaluator(terms).states) == math.comb(4, 2)
+    sector = build_matrix(terms, particle_sector=terms.n_electrons)
+    components = _components(sector._actions, sector.basis_states)
+    assert [sector.basis_states[c].tolist() for c in components] == [
+        [0b0011, 0b1100], [0b0101, 0b0110, 0b1001, 0b1010],
+    ]
+    assert _StrangEvaluator(terms).states.tolist() == [0b0011, 0b1100]
     for t in (0.2, 0.05):
         restricted = strang_error_scan(terms, [t])[0]
         full = strang_error_scan(terms, [t], particle_sector=None)[0]
         assert restricted.e_fci == pytest.approx(full.e_fci, abs=1e-12)
         assert restricted.delta_e == pytest.approx(full.delta_e, abs=1e-10)
+
+
+def nan_term_list(core_energy=0.0, coefficient=math.nan):
+    # parse_terms refuses a non-finite value, so the list is built directly
+    return TermList(terms=(
+        HamiltonianTerm("PP", (1,), -1.0, 1.0),
+        HamiltonianTerm("PQ", (1, 3), coefficient, abs(coefficient)),
+        HamiltonianTerm("PP", (3,), -0.5, 0.5),
+    ), n_spin_orbitals=4, n_electrons=1, core_energy=core_energy)
+
+
+@pytest.mark.parametrize("coefficient", [math.nan, math.inf])
+def test_non_finite_coefficient_names_its_term_row(coefficient):
+    # a NaN block used to lose every ground-energy comparison and leave a
+    # silent e_fci = 0, delta_e = 0, ground_overlap = 1 row
+    terms = nan_term_list(coefficient=coefficient)
+    message = rf"term row 1 \(PQ \(1, 3\)\): non-finite coefficient {coefficient!r}"
+    for call in (
+        lambda: build_matrix(terms),
+        lambda: strang_error_scan(terms, [0.1]),
+        lambda: strang_error_scan(terms, [0.1], particle_sector=None),
+        lambda: hartree_fock_overlap(terms),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_non_finite_core_energy_is_named():
+    terms = nan_term_list(core_energy=math.nan, coefficient=0.25)
+    for call in (lambda: build_matrix(terms), lambda: strang_error_scan(terms, [0.1])):
+        with pytest.raises(ValueError, match="non-finite core energy nan"):
+            call()
 
 
 def test_effective_energy_error_is_second_order():
@@ -381,11 +425,13 @@ def chain_terms(label):
     return enumerate_terms(parse_fcidump(FIXTURES / f"{label}.fcidump"))
 
 
-def assert_rows_match(rows, reference):
+def assert_rows_match(rows, reference, e_fci_tol=0.0):
+    # e_fci_tol > 0 only between different evaluation spaces, whose ground
+    # energies come from different eigh calls
     assert len(rows) == len(reference)
     for row, ref in zip(rows, reference):
         assert row.t == ref.t
-        assert row.e_fci == ref.e_fci
+        assert abs(row.e_fci - ref.e_fci) <= e_fci_tol
         assert row.phase_wrapped == ref.phase_wrapped
         assert row.empirical_trotter_number == ref.empirical_trotter_number
         # eigenphases, in radians
@@ -417,10 +463,100 @@ def test_scan_rows_match_per_step_reference(name, monkeypatch):
 
 
 def test_h6_row_matches_per_step_reference():
-    # the 400-state Sz block of the 924-state sector, one step per chunk
+    # the 200-state component of the 924-state sector
     terms = chain_terms("h6_chain")
     assert_rows_match(
         strang_error_scan(terms, [0.2]), reference_strang_scan(terms, [0.2])
+    )
+
+
+@pytest.mark.parametrize("name", MOLECULES + list(FIXTURE_CHAINS))
+def test_component_rows_agree_with_sz_block_reference(name):
+    # H and the step unitary are block-diagonal over the components, so the
+    # ground state's component gives the rows of its whole Sz block
+    terms = chain_terms(name) if name in FIXTURE_CHAINS else molecule_terms(name)
+    grid = [0.2] if name == "h6_chain" else SCAN_GRID
+    assert_rows_match(
+        strang_error_scan(terms, grid),
+        reference_strang_scan(terms, grid, split=scalar_sz_blocks),
+        e_fci_tol=1e-12,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Connected components of the sector's state graph
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", MOLECULES + ["h5p_chain", "h6_chain", "h8_chain"])
+def test_components_equal_scipy_connected_components(name):
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    from qsimcost import oracle
+
+    # the table is built directly: build_matrix refuses H8's 16 spin orbitals
+    terms = molecule_terms(name) if name in MOLECULES else chain_terms(name)
+    states = oracle._basis_states(terms.n_spin_orbitals, terms.n_electrons)
+    table = oracle._action_table(terms, states)
+    graph = coo_array(
+        (np.ones(len(table.source)), (table.source, table.target)),
+        shape=(len(states), len(states)),
+    )
+    count, labels = connected_components(graph, directed=False)
+    components = oracle._components(table, states)
+    assert len(components) == count
+    assert np.array_equal(
+        np.sort(np.concatenate(components)), np.arange(len(states))
+    )
+    assert {int(labels[c[0]]) for c in components} == set(range(count))
+    for component in components:
+        assert np.all(labels[component] == labels[component[0]])
+        assert np.all(np.diff(component) > 0)
+    # one Sz block after another, each block's components by first position
+    twice_sz = oracle._twice_sz(states)
+    keys = [(abs(twice_sz[c[0]]), twice_sz[c[0]], c[0]) for c in components]
+    assert keys == sorted(keys)
+
+
+def test_parity_breaking_hop_merges_the_sz_block():
+    # h4_chain has no PQ 1 3 term: spatial orbitals 1 and 2 differ in
+    # inversion parity. A small spin-up hop between them joins the 20- and
+    # 16-state components into the whole 36-state Sz = 0 block
+    from qsimcost.oracle import _StrangEvaluator
+
+    base = molecule_terms("h4_chain")
+    assert all(t.spin_orbitals != (1, 3) for t in base)
+    hop = HamiltonianTerm("PQ", (1, 3), 0.05, 0.05)
+    terms = TermList(
+        terms=sorted([*base, hop], key=lambda t: t.spin_orbitals),
+        n_spin_orbitals=base.n_spin_orbitals,
+        n_electrons=base.n_electrons, core_energy=base.core_energy,
+    )
+    assert len(_StrangEvaluator(terms).states) == 36
+    assert_rows_match(
+        strang_error_scan(terms, SCAN_GRID), reference_strang_scan(terms, SCAN_GRID)
+    )
+
+
+@pytest.mark.parametrize("second, picked", [
+    ("-0.5", "first"),
+    ("-0.500000000001", "first"),  # 1e-12 deeper: within _DEGENERACY_TOL
+    ("-0.5000001", "second"),
+])
+def test_equal_ground_energies_pick_the_first_component(second, picked):
+    # one electron in 8 spin orbitals: the spin-up block splits into
+    # {1, 3} and {5, 7}, two two-level hops with ground energy -0.5 (the
+    # spin-down states are isolated at 0)
+    from qsimcost.oracle import _StrangEvaluator
+
+    terms = parse_terms(
+        f"PQ 1 3 -0.5\nPQ 5 7 {second}\n", n_spin_orbitals=8, n_electrons=1
+    )
+    states = {"first": [0b1, 0b100], "second": [0b10000, 0b1000000]}[picked]
+    assert _StrangEvaluator(terms).states.tolist() == states
+    assert ReferenceStrangEvaluator(terms).states.tolist() == states
+    assert_rows_match(
+        strang_error_scan(terms, [0.1, 0.7]), reference_strang_scan(terms, [0.1, 0.7])
     )
 
 
@@ -438,9 +574,10 @@ def test_scan_split_over_chunks_matches_one_chunk(monkeypatch):
 
     terms = molecule_terms("h4_chain")
     whole = strang_error_scan(terms, SCAN_GRID)
-    # three step sizes of the 36-state block per chunk: seven chunks, the
-    # last one partial
-    monkeypatch.setattr(oracle, "_STACK_ENTRIES", 3 * 36 * 36 + 35)
+    # three step sizes of the 20-state component per chunk: seven chunks,
+    # the last one partial
+    assert len(oracle._StrangEvaluator(terms).states) == 20
+    monkeypatch.setattr(oracle, "_STACK_ENTRIES", 3 * 20 * 20 + 19)
     split = strang_error_scan(terms, SCAN_GRID)
     assert len(split) == len(whole) == 20
     for a, b in zip(split, whole):
@@ -452,13 +589,15 @@ def test_scan_split_over_chunks_matches_one_chunk(monkeypatch):
 
 @pytest.mark.parametrize("name", ["h4_chain", "h5p_chain"])
 def test_sz_block_actions_equal_replayed_actions(name):
-    # the block's table comes from the sector's by renumbering; each term's
-    # slice of it equals the scalar replay of the term on the block's states
+    # the component's table comes from the sector's by renumbering; each
+    # term's slice of it equals the scalar replay of the term on the
+    # component's states
     from qsimcost.oracle import _StrangEvaluator
 
     terms = chain_terms(name) if name == "h5p_chain" else molecule_terms(name)
     evaluator = _StrangEvaluator(terms)
     replayed = ReferenceStrangEvaluator(terms)
+    assert len(evaluator.states) == {"h4_chain": 20, "h5p_chain": 52}[name]
     assert np.array_equal(evaluator.states, replayed.states)
     table = evaluator.actions
     assert np.array_equal(table.coefficients, terms.coefficients)
