@@ -5,6 +5,9 @@ oracle-validate, logical, par, nesting, physical, report. All output is
 JSON on stdout unless a Markdown format is requested. Exit codes: 0 on
 success, 2 on validation errors, 3 when --strict is set and a
 tolerance-based comparison fails.
+
+The CLI parses and prints: scenarios owns the published anchors and the
+tolerances of every comparison with them.
 """
 
 from __future__ import annotations
@@ -41,22 +44,22 @@ from .par import (
     par_rotation_factories_linear_bound,
 )
 from .scenarios import (
+    ANCHOR_STRUCTURE,
     PHYSICAL_LAYOUT,
     STRATEGY_GROUP_LABELS,
+    STRATEGY_LABELS,
     Scenario,
     check_epsilon_target,
     emit,
-    eps_key,
     load_presets,
     logical_dict,
     logical_table,
     physical_cells,
     physical_dict,
-    reference_logical_report,
+    reference_physical_report,
     run_scenario,
     t_count_gaps,
 )
-from .surface_code import FTParams, physical_report
 from .trotter import estimate_error_constant
 
 _PE_ALIASES = {
@@ -77,11 +80,6 @@ _COMBINATION_ALIASES = {
     "worst_case": "worst_case",
     "variance": "variance",
 }
-# reproduction tolerances for --strict comparisons
-_DISTANCE_TOLERANCE = 2
-_COUNT_TOLERANCE = {"serial": 0.15, "nesting": 0.15, "par": 0.20}
-_TOTAL_FACTOR = 2.0
-_T_COUNT_FACTOR = 5.0
 
 
 def _print_json(data, stream=None):
@@ -267,85 +265,24 @@ def _physical_rows(report):
     return rows
 
 
-def _physical_reference_check(presets, scenario_key, strategy, p, report):
-    """Compare one computed column against the published cell, if any."""
-    structures = presets["structures"]
-    table = structures.get("struct-1", {}).get("reference_fault_tolerance", {})
-    cell = table.get(scenario_key, {}).get(strategy, {}).get(eps_key(p))
-    if cell is None:
-        return [], []
-    warnings, failures = [], []
-
-    mine = list(report.code_distances[:-1])
-    published = list(cell["code_distances"])
-    if len(mine) != len(published) or any(
-        abs(a - b) > _DISTANCE_TOLERANCE for a, b in zip(mine, published)
-    ):
-        failures.append(
-            f"{strategy} p={p:g}: distances {mine} vs published {published}"
-        )
-    else:
-        warnings.append(
-            f"{strategy} p={p:g}: distances {mine} within +-2 of {published}"
-        )
-
-    tolerance = _COUNT_TOLERANCE[strategy]
-    count, want = report.t_factory_count, cell["t_factories"]
-    relative = abs(count - want) / want
-    line = (
-        f"{strategy} p={p:g}: {count} T factories vs published {want} "
-        f"({100 * relative:.1f}%, tolerance {100 * tolerance:.0f}%)"
-    )
-    (warnings if relative <= tolerance else failures).append(line)
-
-    total, want_total = report.total_physical_qubits, cell["total_physical_qubits"]
-    ratio = total / want_total
-    line = (
-        f"{strategy} p={p:g}: {total:.2e} total physical qubits vs published "
-        f"{want_total:.1e} ({ratio:.2f}x, tolerance factor {_TOTAL_FACTOR:g})"
-    )
-    (warnings if 1 / _TOTAL_FACTOR <= ratio <= _TOTAL_FACTOR else
-     failures).append(line)
-    return warnings, failures
-
-
 def _cmd_physical(args):
     presets = load_presets()
-    if args.scenario == "topological" and args.inject is None:
-        args.inject = 1e-4
-    reference_key = {"table3": "default", "topological": "topological"}
-    output, warnings, failures = {}, [], []
+    output, comparisons = {}, []
     for strategy in args.strategies:
-        logical = reference_logical_report(
-            args.structure, strategy, args.epsilon, presets
+        report, lines = reference_physical_report(
+            args.structure, strategy, args.scenario, args.p,
+            epsilon=args.epsilon, p_inject=args.inject, presets=presets,
         )
-        params = FTParams(p_clifford=args.p, p_inject=args.inject)
-        report = physical_report(logical, params)
         output[STRATEGY_GROUP_LABELS[strategy]] = _physical_rows(report)
-        warn, fail = _physical_reference_check(
-            presets, reference_key[args.scenario], strategy, args.p, report
-        )
-        warnings += warn
-        failures += fail
+        comparisons += lines
     output["Error Rate"] = args.p
-    output["comparisons"] = warnings + (
-        [f"OUT OF TOLERANCE: {line}" for line in failures]
-    )
+    output["comparisons"] = [line for line, ok in comparisons if ok] + [
+        f"OUT OF TOLERANCE: {line}" for line, ok in comparisons if not ok
+    ]
     _print_json(output)
-    if failures and args.strict:
+    if args.strict and not all(ok for _, ok in comparisons):
         return 3
     return 0
-
-
-def _tolerance_failures(bundle, presets):
-    """Computed-vs-published T-count gaps beyond the documented factor."""
-    return [
-        f"{strategy} at {key}: computed T count off by {ratio:.2f}x "
-        f"(tolerance factor {_T_COUNT_FACTOR:g})"
-        for key, strategy, _, _, ratio
-        in t_count_gaps(bundle.scenario, bundle.points, presets)
-        if not 1 / _T_COUNT_FACTOR <= ratio <= _T_COUNT_FACTOR
-    ]
 
 
 def _scenario_from_args(args):
@@ -394,7 +331,8 @@ def _cmd_report(args):
         print(f"wrote {len(blob)} bytes to {args.out}")
     else:
         sys.stdout.write(blob.decode())
-    failures = _tolerance_failures(bundle, presets)
+    gaps = t_count_gaps(bundle.scenario, bundle.points, presets)
+    failures = [line for _, line, ok in gaps if not ok]
     for line in failures:
         print(f"OUT OF TOLERANCE: {line}", file=sys.stderr)
     if failures and args.strict:
@@ -454,7 +392,7 @@ def build_parser():
         "--synthesis", choices=sorted(_SYNTH_ALIASES), default="average"
     )
     p.add_argument(
-        "--strategy", choices=("serial", "nesting", "par"), default="serial"
+        "--strategy", choices=tuple(STRATEGY_LABELS), default="serial"
     )
     p.add_argument(
         "--combination", choices=sorted(_COMBINATION_ALIASES), default="worst"
@@ -483,13 +421,13 @@ def build_parser():
     p.add_argument("--inject", type=float, help="raw magic-state error")
     p.add_argument(
         "--scenario", choices=("table3", "topological"), default="table3",
-        help="published matrix to compare against",
+        help="layout preset, compared with its published matrix",
     )
-    p.add_argument("--structure", default="struct-1")
+    p.add_argument("--structure", default=ANCHOR_STRUCTURE)
     p.add_argument("--epsilon", type=float, default=1e-4)
     p.add_argument(
         "--strategies", nargs="+", default=["serial", "par", "nesting"],
-        choices=("serial", "nesting", "par"),
+        choices=tuple(STRATEGY_LABELS),
     )
     p.add_argument(
         "--strict", action="store_true",
@@ -507,7 +445,7 @@ def build_parser():
     p.add_argument("--beta-case", dest="beta_case")
     p.add_argument("--epsilons", nargs="+", type=float)
     p.add_argument(
-        "--strategies", nargs="+", choices=("serial", "nesting", "par")
+        "--strategies", nargs="+", choices=tuple(STRATEGY_LABELS)
     )
     p.add_argument("--error-rates", nargs="+", type=float)
     p.add_argument("--inject", type=float)

@@ -11,8 +11,9 @@ pipeline outputs, "input" for caller choices.
 
 The module also owns the report layouts shared by emit and the CLI: the
 logical markdown table (logical_table), the fault-tolerance table
-(PHYSICAL_LAYOUT and physical_cells), and the walk over computed-vs-published
-T counts (t_count_gaps).
+(PHYSICAL_LAYOUT and physical_cells), and every comparison with a published
+anchor, read at the run's own structure and epsilon, with its tolerances
+(t_count_gaps, reference_physical_report).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .costs import (
 )
 from .hamiltonian import clifford_count_per_step, enumerate_terms, parse_fcidump
 from .par import ParParams, nesting_parallelism
-from .surface_code import FTParams, physical_report
+from .surface_code import DISTILLATION_OUTPUT_SCALE, FTParams, physical_report
 from .trotter import estimate_error_constant
 
 __all__ = [
@@ -51,10 +52,13 @@ __all__ = [
     "physical_cells",
     "physical_dict",
     "reference_logical_report",
+    "reference_physical_report",
     "run_scenario",
     "t_count_gaps",
 ]
 
+# the structure whose fault-tolerant layout the paper tabulates
+ANCHOR_STRUCTURE = "struct-1"
 STRATEGY_LABELS = {"serial": "Serial", "nesting": "Nesting", "par": "PAR"}
 # column-group names of the fault-tolerance layout
 STRATEGY_GROUP_LABELS = {
@@ -71,6 +75,11 @@ _ACCURACY_TITLES = {
 # H6 (498 terms) and larger chains stay sampled, so their reports carry a
 # standard error and keep the frozen perfbench fcidump-sampled outputs.
 _EXHAUSTIVE_TERM_CAP = 400
+# reproduction tolerances of the comparisons with published cells
+_T_COUNT_FACTOR = 5.0
+_DISTANCE_TOLERANCE = 2
+_COUNT_TOLERANCE = {"serial": 0.15, "nesting": 0.15, "par": 0.20}
+_TOTAL_FACTOR = 2.0
 # fault-tolerance table rows: (group, label, field of physical_dict,
 # scientific format, rotation-factory only); group None is a top-level row.
 # "code_distances" lists the distillation rounds, not the processor distance.
@@ -101,6 +110,20 @@ def load_presets():
     """Bundled parameter tables and published anchor rows."""
     path = importlib.resources.files("qsimcost.data").joinpath("presets.json")
     return json.loads(path.read_text())
+
+
+def _structure_entry(structure, presets):
+    try:
+        return presets["structures"][structure]
+    except KeyError:
+        raise ValueError(f"unknown structure preset {structure!r}") from None
+
+
+def _published(structure, epsilon, presets):
+    """(logical rows, fault-tolerance matrices) published at one target."""
+    entry, key = _structure_entry(structure, presets), eps_key(epsilon)
+    return (entry["reference_logical"].get(key, {}),
+            entry.get("reference_fault_tolerance", {}).get(key, {}))
 
 
 def eps_key(epsilon):
@@ -225,10 +248,7 @@ def _resolve(scenario, presets):
     """Problem size, Trotter constant, and strategy inputs for a scenario."""
     pe, synth = _resolved_models(scenario, presets)
     if scenario.structure is not None:
-        try:
-            entry = presets["structures"][scenario.structure]
-        except KeyError:
-            raise ValueError(f"unknown structure preset {scenario.structure!r}")
+        entry = _structure_entry(scenario.structure, presets)
         if scenario.beta_case not in entry["beta"]:
             raise ValueError(f"unknown beta case {scenario.beta_case!r}")
         beta = float(entry["beta"][scenario.beta_case])
@@ -319,14 +339,10 @@ def reference_logical_report(structure, strategy, epsilon=1e-4, presets=None):
     strategy timing identities keep holding exactly.
     """
     presets = presets if presets is not None else load_presets()
-    entry = presets["structures"][structure]
-    key = eps_key(epsilon)
-    try:
-        ref = entry["reference_logical"][key][strategy]
-    except KeyError:
-        raise ValueError(
-            f"no published row for {structure!r} {strategy!r} at {key}"
-        )
+    ref = _published(structure, epsilon, presets)[0].get(strategy)
+    if ref is None:
+        raise ValueError(f"no published row for {structure!r} {strategy!r} "
+                         f"at {eps_key(epsilon)}")
     scenario = Scenario(
         structure=structure, epsilon_targets=(epsilon,), strategies=(strategy,)
     )
@@ -345,25 +361,70 @@ def t_count_gaps(scenario, points, presets):
     its first point in grid order; other inputs have no published rows.
 
     Yields:
-        (eps_key, strategy, computed T count, published T count, ratio).
+        (bundle warning, comparison line, within tolerance) per cell.
     """
     if scenario.structure is None:
         return
-    reference = presets["structures"][scenario.structure].get(
-        "reference_logical", {}
-    )
-    seen = set()
+    firsts = {}
     for point in points:
-        key = (eps_key(point.epsilon), point.strategy)
-        if key in seen:
-            continue
-        seen.add(key)
-        cell = reference.get(key[0], {}).get(point.strategy)
+        firsts.setdefault((eps_key(point.epsilon), point.strategy), point)
+    for (key, strategy), point in firsts.items():
+        rows, _ = _published(scenario.structure, point.epsilon, presets)
+        cell = rows.get(strategy)
         if cell is None:
             continue
         published = float(cell["t_gates"])
         computed = point.logical.t_count
-        yield key[0], point.strategy, computed, published, computed / published
+        ratio = computed / published
+        yield (
+            f"{strategy} at {key} Ha: computed T count {computed:.2e} is "
+            f"{ratio:.2f}x the published {published:.1e} (tolerance-based "
+            "comparison; exact reproduction is out of scope)",
+            f"{strategy} at {key}: computed T count off by {ratio:.2f}x "
+            f"(tolerance factor {_T_COUNT_FACTOR:g})",
+            1 / _T_COUNT_FACTOR <= ratio <= _T_COUNT_FACTOR,
+        )
+
+
+def reference_physical_report(structure, strategy, layout, p_clifford,
+                              epsilon=1e-4, p_inject=None, presets=None):
+    """Fault-tolerant layout of a published logical row, with comparisons.
+
+    layout names an entry of presets["layouts"], whose injection error
+    (None: the Clifford error) p_inject overrides. The comparisons, as
+    (line, within tolerance), are with the published cell of the same
+    structure, epsilon, layout, strategy, Clifford and injection error, and
+    empty where there is none. Returns (PhysicalCostReport, comparisons).
+    """
+    presets = presets if presets is not None else load_presets()
+    fixed = presets["layouts"][layout]["p_inject"]
+    logical = reference_logical_report(structure, strategy, epsilon, presets)
+    params = FTParams(p_clifford, fixed if p_inject is None else p_inject)
+    report = physical_report(logical, params)
+    matrix = _published(structure, epsilon, presets)[1].get(layout, {})
+    cell = matrix.get(strategy, {}).get(eps_key(p_clifford))
+    if cell is None or params.injected_error != (fixed or p_clifford):
+        return report, []
+    label = f"{strategy} p={p_clifford:g}"
+    mine, published = list(report.code_distances[:-1]), cell["code_distances"]
+    near = len(mine) == len(published) and all(
+        abs(a - b) <= _DISTANCE_TOLERANCE for a, b in zip(mine, published)
+    )
+    count, want = report.t_factory_count, cell["t_factories"]
+    gap, tolerance = abs(count - want) / want, _COUNT_TOLERANCE[strategy]
+    total, want_total = report.total_physical_qubits, cell["total_physical_qubits"]
+    ratio = total / want_total
+    return report, [
+        (f"{label}: distances {mine} within +-{_DISTANCE_TOLERANCE} of "
+         f"{published}" if near
+         else f"{label}: distances {mine} vs published {published}", near),
+        (f"{label}: {count} T factories vs published {want} "
+         f"({100 * gap:.1f}%, tolerance {100 * tolerance:.0f}%)",
+         gap <= tolerance),
+        (f"{label}: {total:.2e} total physical qubits vs published "
+         f"{want_total:.1e} ({ratio:.2f}x, tolerance factor {_TOTAL_FACTOR:g})",
+         1 / _TOTAL_FACTOR <= ratio <= _TOTAL_FACTOR),
+    ]
 
 
 def run_scenario(scenario, presets=None):
@@ -377,6 +438,7 @@ def run_scenario(scenario, presets=None):
     presets = presets if presets is not None else load_presets()
     resolved = _resolve(scenario, presets)
     pe, synth = resolved["pe"], resolved["synth"]
+    t_gate_time = float(presets["t_gate_time_seconds"])
     budgets = {
         eps: optimize_budget(
             resolved["m_terms"], eps, resolved["beta_of"](eps), pe, synth,
@@ -395,6 +457,7 @@ def run_scenario(scenario, presets=None):
             resolved["m_terms"], budgets[eps], resolved["beta_of"](eps),
             pe, synth, n_spin_orbitals=resolved["n_spin_orbitals"],
             clifford_per_step=resolved["clifford_per_step"],
+            t_gate_time=t_gate_time,
         )
         logicals[eps, strategy] = strategy_report(
             base, strategy, n_spin_orbitals=resolved["n_spin_orbitals"],
@@ -409,13 +472,7 @@ def run_scenario(scenario, presets=None):
                 logical, FTParams(p_clifford=rate, p_inject=scenario.p_inject)
             )
             points.append(GridPoint(strategy, eps, rate, logical, physical))
-    warnings = tuple(
-        f"{strategy} at {key} Ha: computed T count {computed:.2e} is "
-        f"{ratio:.2f}x the published {published:.1e} (tolerance-based "
-        "comparison; exact reproduction is out of scope)"
-        for key, strategy, computed, published, ratio
-        in t_count_gaps(scenario, points, presets)
-    )
+    warnings = tuple(w for w, _, _ in t_count_gaps(scenario, points, presets))
 
     parameters = {
         "m_terms": {
@@ -450,7 +507,7 @@ def run_scenario(scenario, presets=None):
 
     constants = {
         "t_gate_time_seconds": {
-            "value": float(presets["t_gate_time_seconds"]),
+            "value": t_gate_time,
             "provenance": presets["provenance"]["t_gate_time_seconds"],
         },
     }
@@ -459,7 +516,7 @@ def run_scenario(scenario, presets=None):
         for name, value, tag in (
             ("logical_a", ft.logical_a, "reference"),
             ("p_threshold", ft.p_threshold, "reference"),
-            ("distillation_output_scale", 35.0, "reference"),
+            ("distillation_output_scale", DISTILLATION_OUTPUT_SCALE, "reference"),
             ("kappa_factory", ft.kappa_factory, "calibrated"),
             ("distill_budget_factor", ft.distill_budget_factor, "calibrated"),
             ("round_distance_margin", ft.round_distance_margin, "calibrated"),

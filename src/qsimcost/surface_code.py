@@ -15,8 +15,8 @@ requirement propagates backward from the final output target.
 
 Several constants here are calibrated to reproduce published tabulations
 rather than derived: the per-T budget factor, the per-round distance
-margin, the factory throughput constant, and the one-logical-qubit
-rotation-factory footprint. Each is a documented FTParams field.
+margin and the factory throughput constant, which are FTParams fields, and
+the one-logical-qubit rotation-factory footprint.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import math
 from .par import par_rotation_factories
 
 __all__ = [
+    "DISTILLATION_OUTPUT_SCALE",
     "FTParams",
     "PhysicalCostReport",
     "logical_error_rate",
@@ -41,6 +42,11 @@ __all__ = [
     "physical_report",
 ]
 
+# c in the 15-to-1 output error eps_out = c eps_in^3
+DISTILLATION_OUTPUT_SCALE = 35.0
+# logical footprint of one cached rotation factory (calibrated)
+_ROTATION_FACTORY_LOGICAL_QUBITS = 1
+
 
 @dataclasses.dataclass(frozen=True)
 class FTParams:
@@ -48,8 +54,7 @@ class FTParams:
 
     Attributes:
         p_clifford: physical error probability per Clifford operation.
-        p_inject: raw magic-state error; defaults to p_clifford. The
-            topological scenario fixes it at 1e-4 while p_clifford drops.
+        p_inject: raw magic-state error; defaults to p_clifford.
         t_phys: seconds per physical gate (default 10 ns).
         target_total_failure: acceptable probability that the whole run
             fails (default 0.1).
@@ -62,8 +67,6 @@ class FTParams:
             gives the literal even split of target_total_failure).
         round_distance_margin: calibrated ratio between a round's state
             budget and the logical error target of its code patches.
-        rotation_factory_logical_qubits: logical footprint of one cached
-            rotation factory (calibrated: one logical qubit).
     """
 
     p_clifford: float
@@ -75,7 +78,6 @@ class FTParams:
     kappa_factory: float = 7.6
     distill_budget_factor: float = 10.0
     round_distance_margin: float = 1000.0
-    rotation_factory_logical_qubits: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.p_clifford < self.p_threshold:
@@ -142,14 +144,15 @@ def distillation_rounds(p_inject, per_t_error_target):
         raise ValueError(f"p_inject out of range: {p_inject}")
     if per_t_error_target <= 0.0:
         raise ValueError(f"target must be positive: {per_t_error_target}")
-    if 35.0 * p_inject**2 >= 1.0:
+    if DISTILLATION_OUTPUT_SCALE * p_inject**2 >= 1.0:
         raise ValueError(
-            f"distillation diverges from raw error {p_inject}: 35 p^2 >= 1"
+            f"distillation diverges from raw error {p_inject}: "
+            f"{DISTILLATION_OUTPUT_SCALE:g} p^2 >= 1"
         )
     error = p_inject
     rounds = 0
     while error > per_t_error_target:
-        error = 35.0 * error**3
+        error = DISTILLATION_OUTPUT_SCALE * error**3
         rounds += 1
     return rounds
 
@@ -158,7 +161,7 @@ def distillation_error_after(p_inject, rounds):
     """Output error of the 15-to-1 recursion after the given rounds."""
     error = p_inject
     for _ in range(rounds):
-        error = 35.0 * error**3
+        error = DISTILLATION_OUTPUT_SCALE * error**3
     return error
 
 
@@ -174,7 +177,7 @@ def distillation_round_distances(per_t_error_target, rounds, params):
         return []
     requirements = [per_t_error_target]
     for _ in range(rounds - 1):
-        requirements.append((requirements[-1] / 35.0) ** (1.0 / 3.0))
+        requirements.append((requirements[-1] / DISTILLATION_OUTPUT_SCALE) ** (1 / 3))
     # requirements[0] is the final round; reverse into execution order
     requirements.reverse()
     return [
@@ -331,7 +334,7 @@ def physical_report(logical, params, processor_logical_qubits=None):
     qpl = qubits_per_logical(d_processor)
 
     processor_qubits = processor_logical_qubits * qpl
-    rotation_qubits = factories * qpl * params.rotation_factory_logical_qubits
+    rotation_qubits = factories * qpl * _ROTATION_FACTORY_LOGICAL_QUBITS
 
     t_rate = logical.t_count / logical.wall_time
     if rounds == 0:

@@ -430,11 +430,25 @@ def test_physical_topological_known_deviations(capsys):
     assert data["Serial rotations"]["Required code distance"] == "5,3"
 
 
+@pytest.mark.parametrize("flags", [
+    ("--structure", "struct-2"),
+    ("--epsilon", "1e-3"),
+    ("--inject", "1e-4"),
+])
+def test_physical_compares_only_published_cells(capsys, flags):
+    # the published matrix is Struct. 1's at 1e-4 with raw states at p;
+    # another structure, target or injection error has no published cell
+    code, out, _ = run(capsys, "physical", "--p", "1e-3", *flags, "--strict")
+    assert code == 0
+    assert json.loads(out)["comparisons"] == []
+
+
 def test_physical_validation_errors(capsys):
     code, _, err = run(capsys, "physical", "--p", "2e-2")
     assert code == 2
-    code, _, err = run(capsys, "physical", "--p", "1e-6", "--structure", "x")
+    code, _, err = run(capsys, "physical", "--p", "1e-3", "--structure", "nope")
     assert code == 2
+    assert "unknown structure preset 'nope'" in err
 
 
 def test_report_config_and_overrides(tmp_path, capsys):
@@ -496,6 +510,6 @@ def test_report_validation_errors(tmp_path, capsys):
 def test_main_reuses_one_parser_without_carrying_state(capsys):
     assert build_parser() is not build_parser()
     before = run_json(capsys, "physical", "--p", "1e-3")
-    # the topological run sets --inject on its own namespace only
+    # a topological run leaves nothing behind for the next one
     run_json(capsys, "physical", "--p", "1e-3", "--scenario", "topological")
     assert run_json(capsys, "physical", "--p", "1e-3") == before

@@ -26,6 +26,10 @@ def test_presets_shape():
         assert entry["n_spin_orbitals"] % 2 == 0
         # published rows exist for both accuracy targets
         assert set(entry["reference_logical"]) == {"1e-04", "1e-03"}
+        # fault-tolerance matrices are keyed by the same accuracy targets
+        assert set(entry.get("reference_fault_tolerance", {})) <= set(
+            entry["reference_logical"]
+        )
     assert PRESETS["structures"]["struct-1"]["m_terms"] == 6.1e6
     assert PRESETS["structures"]["struct-2"]["m_terms"] == 8.2e6
 
@@ -80,6 +84,8 @@ def test_reference_reports_keep_strategy_identities():
 
     with pytest.raises(ValueError, match="no published row"):
         reference_logical_report("struct-1", "serial", 1e-5, PRESETS)
+    with pytest.raises(ValueError, match="unknown structure preset 'nope'"):
+        reference_logical_report("nope", "serial", 1e-4, PRESETS)
 
 
 def test_reference_reports_reproduce_processor_conventions():
@@ -128,6 +134,19 @@ def test_run_scenario_warnings_compare_to_published_rows():
     # no published rows for file inputs, so no warnings
     molecule = load_molecule("h2_sto3g")
     del molecule
+
+
+def test_wall_times_follow_the_presets_t_gate_time():
+    scenario = Scenario(structure="struct-1", error_rates=(1e-6,))
+    slower = json.loads(json.dumps(PRESETS))
+    slower["t_gate_time_seconds"] = 2e-8
+    base = run_scenario(scenario, PRESETS)
+    bundle = run_scenario(scenario, slower)
+    assert bundle.constants["t_gate_time_seconds"]["value"] == 2e-8
+    assert len(bundle.points) == len(base.points) == 6
+    for a, b in zip(base.points, bundle.points):
+        assert b.logical.t_gate_time == 2e-8
+        assert b.logical.wall_time == 2 * a.logical.wall_time
 
 
 def test_emit_json_deterministic_and_round_trip():
