@@ -666,16 +666,25 @@ def hartree_fock_overlap(terms, n_electrons=None, degeneracy_tol=1e-10,
     if n_e <= 0:
         raise ValueError(f"need a positive electron count, got {n_e}")
     sector = build_matrix(terms, particle_sector=n_e, qubit_cap=qubit_cap)
-    evals, evecs = np.linalg.eigh(sector.matrix)
     hf_pattern = (1 << n_e) - 1
     hf_pos = int(np.searchsorted(sector.basis_states, hf_pattern))
     if sector.basis_states[hf_pos] != hf_pattern:
         raise AssertionError("reference determinant missing from sector basis")
-    window = evals - evals[0] <= degeneracy_tol
-    overlap = float(np.sum(np.abs(evecs[hf_pos, window]) ** 2))
+    # H is block-diagonal over components: only the determinant's overlaps it
+    blocks = _components(sector._actions, sector.basis_states)
+    home = next(block for block in blocks if hf_pos in block)
+    evals, evecs = np.linalg.eigh(sector.matrix[np.ix_(home, home)])
+    spectrum = np.concatenate([
+        evals if block is home
+        else np.linalg.eigvalsh(sector.matrix[np.ix_(block, block)])
+        for block in blocks
+    ])
+    energy = spectrum.min()
+    window = evals - energy <= degeneracy_tol
+    overlap = float(np.sum(evecs[np.searchsorted(home, hf_pos), window] ** 2))
     return OverlapReport(
         overlap=overlap,
-        energy=float(evals[0]),
-        degenerate=int(np.count_nonzero(window)) > 1,
+        energy=float(energy),
+        degenerate=int(np.count_nonzero(spectrum - energy <= degeneracy_tol)) > 1,
         n_electrons=n_e,
     )

@@ -70,11 +70,13 @@ _ACCURACY_TITLES = {
     "1e-04": "Quantitatively accurate simulation (0.1 mHa)",
     "1e-03": "Qualitatively accurate simulation (1 mHa)",
 }
-# the exhaustive h sum costs O(M^3) time (about 0.5 s at M = 498 on one
-# core) and O(M^2) memory; above this many terms h is sampled by strata.
-# H6 (498 terms) and larger chains stay sampled, so their reports carry a
-# standard error and keep the frozen perfbench fcidump-sampled outputs.
+# above this many terms h is sampled by strata. The exhaustive sum (O(M^3)
+# BLAS flops) takes ~20 ms at M = 498 and 0.2 s at M = 1524 on one core, but
+# H6 (498 terms) stays sampled: perfbench's reference.json pins H6's h with
+# SE 0, which an exhaustive sum misses in its last digits.
 _EXHAUSTIVE_TERM_CAP = 400
+# exponent formats of 1 to 17 significant digits; 17 read back as any float
+_LABEL_FORMATS = [f".{digits}e" for digits in range(17)]
 # reproduction tolerances of the comparisons with published cells
 _T_COUNT_FACTOR = 5.0
 _DISTANCE_TOLERANCE = 2
@@ -127,8 +129,12 @@ def _published(structure, epsilon, presets):
 
 
 def eps_key(epsilon):
-    """The one-digit label of an accuracy target, e.g. "1e-04"."""
-    return format(epsilon, ".0e")
+    """The shortest exponent label that reads back as epsilon, e.g. "1e-04"
+    or "1.4e-04"."""
+    for spec in _LABEL_FORMATS:
+        if float(label := format(epsilon, spec)) == epsilon:
+            return label
+    raise ValueError(f"no exponent label reads back as {epsilon!r}")
 
 
 def check_epsilon_target(epsilon):
@@ -764,7 +770,7 @@ def _markdown_physical(data):
     for key in dict.fromkeys(eps_key(r["epsilon"]) for r in physical_rows):
         rows = [r for r in physical_rows if eps_key(r["epsilon"]) == key]
         headers = [
-            f"{STRATEGY_GROUP_LABELS[r['strategy']]} {r['error_rate']:.0e}"
+            f"{STRATEGY_GROUP_LABELS[r['strategy']]} {eps_key(r['error_rate'])}"
             for r in rows
         ]
         lines += [

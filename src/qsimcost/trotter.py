@@ -26,16 +26,19 @@ is exactly zero):
     5. Jacobi: [a,[b,c]] = -[b,[c,a]] - [c,[a,b]]; if both right-hand
        triples are certified zero by rules 1-4, the left side is zero
 
-Exact evaluation builds tables over term pairs once (the pair rules 1, 3
-and 4, the union of the two supports, and 4 n_x n_y) and walks the middle
-index b: the gate's first branch (a > b and c > b) is then the square slice
-[b+1:, b+1:] of those tables over (a, c), and rules 1-5 become broadcasts of
-row b against it, so no gated-out cell is evaluated and memory stays O(m^2).
-The second branch (b > a and c == a) is one band of m(m-1)/2 triples. The
-Monte Carlo estimator samples the triple population, stratified by the class
-signature (class_a, class_b, class_c). Both estimators share one definition
-of the summand, so the exhaustive mode reproduces the deterministic sum up to
-summation order.
+Rules 1-5 reduce to one table over term pairs, I[x, y] = rule 1, 3 or 4
+holds for (x, y), and its complement J. Disjoint supports satisfy rule 1,
+so rule 2 implies I[a, b] and I[a, c]; and once J[b, c] (so b and c
+overlap), rule 5's two halves reduce to I[c, a] and I[a, b]. A triple
+therefore survives iff J[b, c] and (J[b, a] or (I[b, a] and J[a, c])),
+which for a band triple (a, b, a) is J[a, b]. The two cases of a are
+disjoint, and the sum of the second over a is a matrix product: for a
+block of middle indices b and each class i of a, (n_a I[b, a] masked to
+a > b and class i) @ J. The products' sizes add up to at most one
+m x m x m product, and every summand is non-negative. The Monte Carlo
+estimator scores the triples it samples with the same identity (gamma),
+stratified by the class signature (class_a, class_b, class_c), so the
+exhaustive mode reproduces the deterministic sum up to summation order.
 """
 
 from __future__ import annotations
@@ -100,15 +103,12 @@ class _TermArrays:
         same_hop = self.hopping[b] & self.hopping[c] & (self.hop[b] == self.hop[c])
         return disjoint | both_diag | same_hop
 
-    def _outer_zero(self, a, b, c):
-        detached = (self.support[a] & (self.support[b] | self.support[c])) == 0
-        return self._inner_zero(b, c) | detached
-
     def gamma(self, a, b, c):
         """Summand 4 n_a n_b n_c [gate] [commutator survives] per triple."""
         gate = ((a > b) & (c > b)) | ((b > a) & (c == a))
-        zero = self._outer_zero(a, b, c) | (
-            self._outer_zero(b, c, a) & self._outer_zero(c, a, b)
+        # rules 1-5 through the pair table (see the module docstring)
+        zero = self._inner_zero(b, c) | (
+            self._inner_zero(a, b) & self._inner_zero(a, c)
         )
         return np.where(
             gate & ~zero, 4.0 * self.norm[a] * self.norm[b] * self.norm[c], 0.0
@@ -152,56 +152,40 @@ def _strata(arrays):
     ]
 
 
-def _gated_blocks(arrays):
-    """Yield (gamma, stratum) blocks that together hold every gated triple once.
-
-    gamma is the summand of each triple in the block (zero where a vanishing
-    rule holds); stratum is its class signature packed as
-    (class_a * k + class_b) * k + class_c with k = len(TERM_CLASSES).
-    """
-    m = arrays.m
-    k = len(TERM_CLASSES)
-    s = arrays.support
-    x = arrays.class_code.astype(np.intp)
-    idx = np.arange(m)
-    inner = arrays._inner_zero(idx[:, None], idx[None, :])
-    union = s[:, None] | s[None, :]
-    weight = 4.0 * np.multiply.outer(arrays.norm, arrays.norm)
-    # second gate branch: the triples (a, b, a) with b > a
-    a_band, b_band = np.triu_indices(m, 1)
-    yield (
-        arrays.gamma(a_band, b_band, a_band),
-        (x[a_band] * k + x[b_band]) * k + x[a_band],
-    )
-    # first gate branch: at fixed b, rows a > b and columns c > b
-    for b in range(m - 1):
-        r = slice(b + 1, m)
-        inner_b = inner[b, r]
-        union_b = union[b, r]
-        zero = (
-            inner_b[None, :]  # [H_b, H_c] = 0
-            | ((s[r, None] & union_b[None, :]) == 0)  # a detached from b, c
-            | (  # Jacobi: [b, [c, a]] and [c, [a, b]] both certified zero
-                (inner[r, r] | ((s[b] & union[r, r]) == 0))
-                & (inner_b[:, None] | ((union_b[:, None] & s[None, r]) == 0))
-            )
-        )
-        yield (
-            np.where(zero, 0.0, arrays.norm[b] * weight[r, r]),
-            (x[r, None] * k + x[b]) * k + x[None, r],
-        )
+# middle indices b per block: a block's (rows, m) product and (rows, class
+# size) factors stay a few MB beside the m x m pair tables even on H8
+_BLOCK_ROWS = 256
 
 
 def _exhaustive(arrays):
-    k = len(TERM_CLASSES)
-    table = np.zeros(k**3)
-    for gamma, stratum in _gated_blocks(arrays):
-        table += np.bincount(stratum.ravel(), weights=gamma.ravel(), minlength=k**3)
-    per_class = {
-        tuple(TERM_CLASSES[i] for i in np.unravel_index(code, (k, k, k))):
-            float(table[code])
-        for code in np.flatnonzero(table)
-    }
+    """h and its strata as matrix products over the pair table (see the module
+    docstring); a stratum without surviving triples sums to 0 and is left out."""
+    m, k = arrays.m, len(TERM_CLASSES)
+    norm, code = arrays.norm, arrays.class_code
+    idx = np.arange(m)
+    live = ~arrays._inner_zero(idx[:, None], idx[None, :])
+    onehot = np.equal.outer(code, np.arange(k)).astype(float)
+    # weight[x, y] = 4 n_x n_y J[x, y] for y > x, zero elsewhere
+    weight = np.triu(np.where(live, 4.0 * np.multiply.outer(norm, norm), 0.0), 1)
+    table = np.zeros((k, k, k))  # (class_a, class_b, class_c)
+    # second gate branch: the triples (a, b, a) with b > a
+    table[np.arange(k), :, np.arange(k)] += onehot.T @ (norm[:, None] * weight) @ onehot
+    # first gate branch, a block of middle indices b at a time: c > b and
+    # a > b; (a, b, c) survives iff J[b, a], or else J[a, c]
+    live_rows = live.astype(float)
+    for start in range(0, m - 1, _BLOCK_ROWS):
+        b = idx[start:start + _BLOCK_ROWS]
+        rest = slice(start + 1, m)
+        for i in range(k):
+            a = np.flatnonzero(code[rest] == i) + start + 1
+            after = np.where(a > b[:, None], norm[a], 0.0)
+            linked = live[np.ix_(b, a)]
+            through = np.where(linked, 0.0, after) @ live_rows[a, rest]
+            through += np.where(linked, after, 0.0).sum(axis=1)[:, None]
+            through *= weight[b, rest]
+            table[i] += onehot[b].T @ through @ onehot[rest]
+    per_class = {tuple(TERM_CLASSES[i] for i in key): float(table[key])
+                 for key in zip(*np.nonzero(table))}
     return float(table.sum()), per_class
 
 

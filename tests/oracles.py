@@ -398,7 +398,26 @@ def random_canonical_terms(n_spin_orbitals, count, seed):
 
     Indices are drawn uniformly from 1..n_spin_orbitals, so chains span the
     whole register; coefficients are uniform in [-1, 1].
+
+    Raises:
+        ValueError: the register has fewer distinct canonical terms of some
+            class than the cycle assigns to it.
     """
+    n = n_spin_orbitals
+    # distinct canonical index tuples per class: a PQQR term is its shared
+    # index and the pair it hops between; a PQRS term is a split of four
+    # indices into two pairs
+    distinct = {
+        "PP": n, "PQ": math.comb(n, 2), "PQQP": math.comb(n, 2),
+        "PQQR": n * math.comb(n - 1, 2), "PQRS": 3 * math.comb(n, 4),
+    }
+    for first, term_class in enumerate(TERM_CLASSES):
+        wanted = len(range(first, count, len(TERM_CLASSES)))
+        if wanted > distinct[term_class]:
+            raise ValueError(
+                f"{count} terms need {wanted} distinct {term_class} terms; "
+                f"{n} spin orbitals have {distinct[term_class]}"
+            )
     rng = np.random.default_rng(seed)
     terms = {}
     while len(terms) < count:

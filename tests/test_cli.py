@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import math
 import pathlib
 import time
 import warnings
@@ -209,8 +210,8 @@ def test_oracle_validate_with_every_term_dropped(capsys):
 def test_oracle_validate_refuses_wide_register_before_computing_h(
     capsys, monkeypatch
 ):
-    # H8 has 16 spin orbitals; its exhaustive h over 1524 terms alone took
-    # tens of seconds before the refusal
+    # H8 has 16 spin orbitals; its exhaustive h over 1524 terms alone takes
+    # ~0.6 s, work the refusal must come before
     def no_h(*args, **kwargs):
         raise AssertionError("h computed for a register the oracle refuses")
 
@@ -434,13 +435,21 @@ def test_physical_topological_known_deviations(capsys):
     ("--structure", "struct-2"),
     ("--epsilon", "1e-3"),
     ("--inject", "1e-4"),
+    ("--p", "1.4e-3"),  # the last --p wins
 ])
 def test_physical_compares_only_published_cells(capsys, flags):
     # the published matrix is Struct. 1's at 1e-4 with raw states at p;
-    # another structure, target or injection error has no published cell
+    # another structure, target, Clifford or injection error has no
+    # published cell
     code, out, _ = run(capsys, "physical", "--p", "1e-3", *flags, "--strict")
     assert code == 0
     assert json.loads(out)["comparisons"] == []
+
+
+def test_physical_names_its_own_unpublished_target(capsys):
+    code, out, err = run(capsys, "physical", "--p", "1e-3", "--epsilon", "1.4e-4")
+    assert (code, out) == (2, "")
+    assert err == "error: no published row for 'struct-1' 'serial' at 1.4e-04\n"
 
 
 def test_physical_validation_errors(capsys):
@@ -492,6 +501,33 @@ def test_report_strict_passes_within_factor(capsys):
         "--strategies", "serial", "--strict",
     )
     assert code == 0
+
+
+TWO_TARGETS = ("report", "--fcidump", H2, "--epsilons", "1e-4", "1.4e-4")
+
+
+def test_report_keeps_the_beta_of_each_target(capsys):
+    data = run_json(capsys, *TWO_TARGETS)
+    h = data["parameters"]["h_bound"]["value"]
+    assert data["parameters"]["beta"]["value"] == {
+        "1e-04": math.sqrt(h / 1e-4), "1.4e-04": math.sqrt(h / 1.4e-4),
+    }
+
+
+def test_markdown_report_gives_each_target_its_block(capsys):
+    code, out, _ = run(capsys, *TWO_TARGETS, "--format", "markdown")
+    assert code == 0
+    assert out.count("| Serial |") == 2
+    assert "## Target accuracy 1.4e-04 Ha" in out
+
+
+def test_report_compares_only_its_own_target(capsys):
+    # 1.4e-4 has no published row; 1e-4 has one
+    data = run_json(
+        capsys, "report", "--structure", "struct-1", "--epsilons", "1.4e-4",
+        "--strategies", "serial",
+    )
+    assert data["warnings"] == []
 
 
 def test_report_validation_errors(tmp_path, capsys):

@@ -198,6 +198,19 @@ def test_equilibrium_overlaps_large_stretched_overlap_small():
     assert stretched < 0.6
 
 
+def test_overlap_on_h6_matches_a_full_sector_eigh():
+    # the overlap comes from the determinant's connected component alone
+    terms = chain_terms("h6_chain")
+    report = hartree_fock_overlap(terms)
+    sector = build_matrix(terms, particle_sector=terms.n_electrons)
+    evals, evecs = np.linalg.eigh(sector.matrix)
+    hf_pos = int(np.searchsorted(sector.basis_states, (1 << terms.n_electrons) - 1))
+    assert evals[1] - evals[0] > 1e-6
+    assert not report.degenerate
+    assert report.overlap == pytest.approx(evecs[hf_pos, 0] ** 2, abs=1e-12)
+    assert report.energy == pytest.approx(evals[0], abs=1e-10)
+
+
 def test_degenerate_ground_space_is_flagged():
     # two spin orbitals of one empty-interaction orbital: both one-electron
     # states sit at the same energy

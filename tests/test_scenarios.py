@@ -13,6 +13,7 @@ from qsimcost import (
     run_scenario,
 )
 from qsimcost.par import par_factory_time_per_rotation
+from qsimcost.scenarios import eps_key
 
 PRESETS = load_presets()
 
@@ -86,6 +87,14 @@ def test_reference_reports_keep_strategy_identities():
         reference_logical_report("struct-1", "serial", 1e-5, PRESETS)
     with pytest.raises(ValueError, match="unknown structure preset 'nope'"):
         reference_logical_report("nope", "serial", 1e-4, PRESETS)
+
+
+@pytest.mark.parametrize("epsilon, label", [
+    (1e-4, "1e-04"), (1e-3, "1e-03"), (2e-9, "2e-09"), (1.4e-4, "1.4e-04"),
+    (1.25e-3, "1.25e-03"), (0.1 + 0.2, "3.0000000000000004e-01"),
+])
+def test_eps_key_is_the_shortest_label_that_reads_back(epsilon, label):
+    assert eps_key(epsilon) == label
 
 
 def test_reference_reports_reproduce_processor_conventions():

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import numpy as np
@@ -181,6 +182,47 @@ def test_exhaustive_matches_frozen_h5_plus_chain():
     assert estimate.value == pytest.approx(26085.27074477814, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_spin_orbitals, count, seed", [
+    (8, 25, 0), (8, 40, 1), (10, 33, 2), (10, 50, 3),
+    (40, 60, 4), (48, 27, 5), (56, 80, 6), (64, 71, 7),
+])
+def test_exhaustive_strata_match_triple_loop_on_random_terms(
+    n_spin_orbitals, count, seed
+):
+    # narrow registers overlap most supports, wide ones leave most disjoint
+    terms = random_canonical_terms(n_spin_orbitals, count, seed)
+    sequence = list(terms)
+    reference = exhaustive_error_constant_by_key(
+        [t.norm for t in sequence],
+        lambda a, b, c: not nested_commutator_vanishes(
+            sequence[a], sequence[b], sequence[c]
+        ),
+        lambda a, b, c: tuple(sequence[i].term_class for i in (a, b, c)),
+    )
+    estimate = estimate_error_constant(terms, method="exhaustive")
+    assert estimate.value == pytest.approx(sum(reference.values()), rel=1e-12)
+    assert set(estimate.per_stratum) == set(reference)
+    for key, contribution in reference.items():
+        assert estimate.per_stratum[key] == pytest.approx(contribution, rel=1e-12)
+
+
+def test_exhaustive_h8_chain_within_three_sigma_of_frozen_sample():
+    # perfbench froze H8's h as a stratified estimate with its SE
+    frozen = json.loads((FIXTURES / "reference.json").read_text())["h"]["h8_chain"]
+    estimate = estimate_error_constant(chain_terms("h8_chain"), method="exhaustive")
+    assert frozen["method"] == "stratified"
+    assert abs(estimate.value - frozen["value"]) <= 3.0 * frozen["std_error"]
+
+
+def test_random_terms_refuse_a_class_the_register_cannot_fill():
+    # four spin orbitals split into pairs three ways: three PQRS terms
+    assert len(random_canonical_terms(4, 15, seed=1)) == 15
+    with pytest.raises(ValueError, match="4 distinct PQRS terms"):
+        random_canonical_terms(4, 20, seed=1)
+    with pytest.raises(ValueError, match="8 distinct PP terms"):
+        random_canonical_terms(6, 40, seed=0)
+
+
 def test_exhaustive_two_terms_by_hand():
     # the only gated triples are (1, 0, 1) and, through the c == a branch,
     # (0, 1, 0); neither is certified zero, so h = 4 n0 n1 (n0 + n1)
@@ -242,6 +284,20 @@ def test_vectorized_gamma_matches_scalar_rules():
             else 0.0
         )
         assert fast[k] == pytest.approx(slow, rel=1e-15)
+
+
+@pytest.mark.parametrize("n_spin_orbitals, count, seed", [(8, 30, 8), (40, 30, 9)])
+def test_gamma_matches_scalar_rules_on_every_random_triple(
+    n_spin_orbitals, count, seed
+):
+    terms = random_canonical_terms(n_spin_orbitals, count, seed)
+    sequence = list(terms)
+    a, b, c = (axis.ravel() for axis in np.indices((count,) * 3))
+    fast = _TermArrays(terms).gamma(a, b, c)
+    for k in np.flatnonzero(((a > b) & (c > b)) | ((b > a) & (c == a))):
+        ta, tb, tc = (sequence[int(x[k])] for x in (a, b, c))
+        survives = not nested_commutator_vanishes(ta, tb, tc)
+        assert fast[k] == (4.0 * ta.norm * tb.norm * tc.norm if survives else 0.0)
 
 
 def test_empty_term_list_gives_zero():
