@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages: ingest, trotter-bound,
 oracle-validate, logical, par, nesting, physical, report. All output is
 JSON on stdout unless a Markdown format is requested. Exit codes: 0 on
 success, 2 on validation errors, 3 when --strict is set and a
-tolerance-based comparison fails.
+tolerance-based comparison fails or oracle-validate checks no step size.
 
 The CLI parses and prints: scenarios owns the published anchors and the
 tolerances of every comparison with them.
@@ -171,12 +171,13 @@ def _cmd_oracle_validate(args):
         for row, bound in zip(rows, bounds)
         if not row.phase_wrapped and bound < row.delta_e
     ]
+    checked = sum(1 for row in rows if not row.phase_wrapped)
     _print_json({
         "source": args.fcidump,
         "h_bound": estimate.value,
         "rows": [dict(row.row(), bound=bound)
                  for row, bound in zip(rows, bounds)],
-        "checked": sum(1 for row in rows if not row.phase_wrapped),
+        "checked": checked,
         "violations": violations,
     })
     if violations:
@@ -184,9 +185,12 @@ def _cmd_oracle_validate(args):
             f"bound violated at {len(violations)} of {len(rows)} step sizes",
             file=sys.stderr,
         )
-        if args.strict:
-            return 3
-    return 0
+    if checked == 0:
+        print(
+            f"no step size checked: all {len(rows)} rows wrapped their phase",
+            file=sys.stderr,
+        )
+    return 3 if args.strict and (violations or checked == 0) else 0
 
 
 def _logical_report_from_args(args):
@@ -378,7 +382,8 @@ def build_parser():
     p.add_argument("--t-max", type=float, default=0.2)
     p.add_argument(
         "--strict", action="store_true",
-        help="exit 3 when the bound is violated anywhere",
+        help="exit 3 when the bound is violated anywhere or no step size "
+        "is checked",
     )
     p.set_defaults(func=_cmd_oracle_validate)
 

@@ -126,14 +126,6 @@ class SynthesisModel:
         """T gates for one rotation at the given precision bits."""
         return self.gamma * bits + self.delta
 
-    def meets_worst_case_lower_bound(self, bits):
-        """Check against the 4 log2(1/eps) - 9 worst-case synthesis floor.
-
-        Average-cost models may dip below the floor; deterministic models
-        must not.
-        """
-        return self.t_per_rotation(bits) >= 4.0 * bits - 9.0
-
 
 @dataclasses.dataclass(frozen=True)
 class ErrorBudget:

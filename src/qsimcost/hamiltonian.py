@@ -104,15 +104,6 @@ class IntegralTable:
         for perm in _EIGHTFOLD:
             self.two_body[idx[perm[0]], idx[perm[1]], idx[perm[2]], idx[perm[3]]] = value
 
-    def check_symmetry(self, tol=0.0):
-        """Raise if the stored arrays violate the real-integral symmetries."""
-        if not np.all(np.abs(self.one_body - self.one_body.T) <= tol):
-            raise ValueError("one-body integrals are not symmetric")
-        v = self.two_body
-        for perm in _EIGHTFOLD[1:]:
-            if not np.all(np.abs(v - np.transpose(v, perm)) <= tol):
-                raise ValueError("two-body integrals violate the 8-fold symmetry")
-
     def __eq__(self, other):
         if not isinstance(other, IntegralTable):
             return NotImplemented
@@ -198,17 +189,6 @@ class HamiltonianTerm:
     def annihilation(self):
         """Annihilation index pair (ascending) of the representative monomial."""
         return self.spin_orbitals[-1 if self.is_one_body else 2 :]
-
-    @property
-    def hop_endpoints(self):
-        """The two non-repeated indices of a hopping-type term.
-
-        Defined for PQ (the pair itself) and PQQR (the symmetric difference
-        of the creation and annihilation pairs); None for other classes.
-        """
-        if self.term_class in ("PQ", "PQQR"):
-            return frozenset(self.creation) ^ frozenset(self.annihilation)
-        return None
 
     @property
     def jw_chain(self):
@@ -304,15 +284,6 @@ class TermList:
     def m(self):
         """Number of merged terms (one per Hermitian-conjugate pair)."""
         return len(self.codes)
-
-    @property
-    def m_unmerged(self):
-        """Term count with both members of each conjugate pair counted.
-
-        Self-adjoint terms (PP, PQQP) count once; every off-diagonal merged
-        term stands for two conjugate monomials.
-        """
-        return 2 * self.m - int(np.isin(self.codes, _DIAGONAL_CODES).sum())
 
     def __len__(self):
         return len(self.codes)

@@ -11,18 +11,18 @@ Every term's action on the basis states is one action table, built from
 the TermList columns in array passes over chunks of (term, state) cells:
 the term row, source and target positions and int8 sign of each
 off-diagonal matrix element, and the diagonal of each diagonal term.
-build_matrix assembles the matrix from it, and the Strang oracle builds
-it once per scan, through the sector build_matrix call.
+build_matrix assembles the matrix from it.
 
-The Strang-step oracle narrows a particle sector further. Every term maps
-basis states only along its own (source, target) entries, so H and the
-step unitary are block-diagonal over the connected components of that
-state graph; the step unitary, its eigendecomposition and the overlap
-selection live in the component that holds the sector's ground state.
-When every term conserves Sz, each component lies in one Sz block (for
-the hydrogen chains, inversion parity then halves the block: for H6 in
-12 spin orbitals, 200 of the sector's 924 states). The component's table
-is the sector's, renumbered.
+Every term maps basis states only along its own (source, target) entries,
+so H and the step unitary are block-diagonal over the connected components
+of that state graph. The Strang-step oracle and hartree_fock_overlap split
+the sector's table by component, keeping its entry order, and assemble one
+component at a time: no dense matrix spans two components, and each holds
+the same elements as its block of the sector matrix. When every term
+conserves Sz, each component lies in one Sz block (for the hydrogen
+chains, inversion parity then halves the block: for H6 in 12 spin
+orbitals, 200 of the sector's 924 states). The scan runs in the component
+that holds the sector's ground state.
 
 A scan runs as one batched computation over its step sizes. The forward
 half-products of every step size in a chunk come from one pass over the
@@ -114,19 +114,27 @@ class _ActionTable:
             actions[row] = values
         return actions
 
-    def restricted(self, positions):
-        """This table on the states at positions, a block closed under its
-        entries, renumbered."""
-        inverse = np.full(self.diagonal.shape[1], -1)
-        inverse[positions] = np.arange(len(positions))
-        source, target = inverse[self.source], inverse[self.target]
-        keep = source >= 0
-        if np.any(keep != (target >= 0)):
+    def split(self, blocks):
+        """This table on each block of positions (the blocks partition the
+        states), renumbered, from one stable sort of the entries by block:
+        each block keeps its entries' order."""
+        owner = np.empty(self.diagonal.shape[1], dtype=np.intp)
+        local = np.empty_like(owner)
+        for k, block in enumerate(blocks):
+            owner[block] = k
+            local[block] = np.arange(len(block))
+        group = owner[self.source]
+        if np.any(group != owner[self.target]):
             raise AssertionError("term left the block")
-        return dataclasses.replace(
-            self, term=self.term[keep], source=source[keep], target=target[keep],
-            sign=self.sign[keep], diagonal=self.diagonal[:, positions],
-        )
+        source, target = local[self.source], local[self.target]
+        order = np.argsort(group, kind="stable")
+        bounds = np.searchsorted(group[order], np.arange(1, len(blocks)))
+        for block, entries in zip(blocks, np.split(order, bounds)):
+            yield _ActionTable(
+                self.coefficients, self.term[entries], source[entries],
+                target[entries], self.sign[entries], self.diagonal_term,
+                self.diagonal[:, block],
+            )
 
 
 def _action_table(terms, states):
@@ -187,8 +195,6 @@ class FockMatrixHamiltonian:
     n_spin_orbitals: int
     particle_sector: int | None
     basis_states: np.ndarray
-    # the _ActionTable the matrix was assembled from, for the Strang oracle
-    _actions: _ActionTable = dataclasses.field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -211,25 +217,10 @@ def _basis_states(n_so, particle_sector):
     return states[np.bitwise_count(states) == particle_sector]
 
 
-def build_matrix(terms, particle_sector=None, include_core=True,
-                 qubit_cap=DEFAULT_QUBIT_CAP):
-    """Assemble the dense Hamiltonian matrix of a term list.
-
-    Args:
-        terms: TermList from enumerate_terms.
-        particle_sector: restrict the basis to this electron count; None
-            keeps the full Fock space.
-        include_core: add the constant core energy to the diagonal.
-        qubit_cap: hard size limit on the register.
-
-    Returns:
-        FockMatrixHamiltonian. The matrix is symmetric by construction and
-        verified to be exactly so.
-
-    Raises:
-        ValueError: a coefficient is not finite (the message names the
-            first such term row), or the core energy is not.
-    """
+def _sector_table(terms, particle_sector, qubit_cap):
+    """The ascending basis states of a particle sector (None: the full Fock
+    space), the _ActionTable of terms on them and its diagonal terms summed
+    per state in term order; raises the ValueErrors build_matrix lists."""
     n_so = terms.n_spin_orbitals
     _check_cap(n_so, qubit_cap)
     bad = np.flatnonzero(~np.isfinite(terms.coefficients))
@@ -243,28 +234,57 @@ def build_matrix(terms, particle_sector=None, include_core=True,
         raise ValueError(f"non-finite core energy {terms.core_energy!r}")
     states = _basis_states(n_so, particle_sector)
     table = _action_table(terms, states)
-    # each triangle takes its entries in one np.add.at, which adds in entry
-    # order, and the diagonal its terms one by one: every element is the
-    # sequential sum of term-by-term assembly (a matmul would reorder it)
-    matrix = np.zeros((len(states), len(states)))
+    diagonal = np.zeros(len(states))
+    for values in table.diagonal:
+        diagonal += values
+    return states, table, diagonal
+
+
+def _dense(table, diagonal):
+    """Dense matrix of a table's off-diagonal entries around a diagonal.
+
+    Each triangle takes its entries in one np.add.at, which adds in entry
+    order, and the diagonal comes summed term by term: every element is the
+    sequential sum of term-by-term assembly (a matmul would reorder it).
+    """
+    matrix = np.diag(diagonal)
     amp = table.coefficients[table.term] * table.sign
     low, high = np.sort([table.source, table.target], axis=0)
     np.add.at(matrix, (high, low), amp)
     np.add.at(matrix, (low, high), amp)
-    for values in table.diagonal:
-        matrix[np.diag_indices_from(matrix)] += values
-    if include_core:
-        matrix[np.diag_indices_from(matrix)] += terms.core_energy
     # both triangles take the same entries in the same order: exact symmetry
     if not np.array_equal(matrix, matrix.T):
         defect = float(np.max(np.abs(matrix - matrix.T)))
         raise AssertionError(f"assembled matrix is not symmetric, defect {defect:g}")
+    return matrix
+
+
+def build_matrix(terms, particle_sector=None, qubit_cap=DEFAULT_QUBIT_CAP):
+    """Assemble the dense Hamiltonian matrix of a term list, core energy
+    included on the diagonal.
+
+    Args:
+        terms: TermList from enumerate_terms.
+        particle_sector: restrict the basis to this electron count; None
+            keeps the full Fock space.
+        qubit_cap: hard size limit on the register.
+
+    Returns:
+        FockMatrixHamiltonian. The matrix is symmetric by construction and
+        verified to be exactly so.
+
+    Raises:
+        ValueError: a coefficient is not finite (the message names the
+            first such term row), or the core energy is not.
+    """
+    states, table, diagonal = _sector_table(terms, particle_sector, qubit_cap)
+    matrix = _dense(table, diagonal)
+    matrix[np.diag_indices_from(matrix)] += terms.core_energy
     return FockMatrixHamiltonian(
         matrix=matrix,
-        n_spin_orbitals=n_so,
+        n_spin_orbitals=terms.n_spin_orbitals,
         particle_sector=particle_sector,
         basis_states=states,
-        _actions=table,
     )
 
 
@@ -358,6 +378,21 @@ def _components(table, states):
     ]
 
 
+def _component_matrices(terms, particle_sector, qubit_cap):
+    """(basis states, _ActionTable, dense matrix) of each connected
+    component of a particle sector, one at a time, in _components order;
+    particle_sector=None keeps the full Fock space as one block. Each
+    matrix equals its block of the sector matrix without the core energy.
+    """
+    states, table, diagonal = _sector_table(terms, particle_sector, qubit_cap)
+    blocks = (
+        [np.arange(len(states))] if particle_sector is None
+        else _components(table, states)
+    )
+    for block, part in zip(blocks, table.split(blocks)):
+        yield states[block], part, _dense(part, diagonal[block])
+
+
 # ground energies of components closer than this count as degenerate, so
 # the earlier one wins: the smaller |Sz|, then the smaller first position
 # (Hartree)
@@ -431,33 +466,28 @@ class _StrangEvaluator:
     ground energy, ties going to the smaller |Sz| when every term
     conserves Sz, then to the smaller first position.
     particle_sector=None keeps the whole Fock space.
+
+    The set-up never assembles the sector matrix: _component_matrices
+    gives the components one at a time, the pick reads the lowest eigvalsh
+    of each (none for a lone component), and only the winner gets an eigh.
     """
 
     def __init__(self, terms, particle_sector="auto", qubit_cap=DEFAULT_QUBIT_CAP):
-        sector = _resolve_sector(terms, particle_sector)
         self.terms = terms
-        built = build_matrix(terms, sector, include_core=False, qubit_cap=qubit_cap)
-        self.states, self.actions = built.basis_states, built._actions
-        blocks = (
-            [np.arange(len(self.states))] if sector is None
-            else _components(self.actions, self.states)
+        components = _component_matrices(
+            terms, _resolve_sector(terms, particle_sector), qubit_cap
         )
-        positions = blocks[0]
-        if len(blocks) > 1:
-            lows = [
-                np.linalg.eigvalsh(built.matrix[np.ix_(block, block)])[0]
-                for block in blocks
-            ]
-            best = 0
-            for k, low in enumerate(lows):
-                if low < lows[best] - _DEGENERACY_TOL:
-                    best = k
-            positions = blocks[best]
-        evals, evecs = np.linalg.eigh(built.matrix[np.ix_(positions, positions)])
+        # a lone component needs no eigvalsh
+        best, low = next(components), None
+        for candidate in components:
+            if low is None:
+                low = np.linalg.eigvalsh(best[2])[0]
+            candidate_low = np.linalg.eigvalsh(candidate[2])[0]
+            if candidate_low < low - _DEGENERACY_TOL:
+                best, low = candidate, candidate_low
+        self.states, self.actions, matrix = best
+        evals, evecs = np.linalg.eigh(matrix)
         self.e_fci_electronic, self.ground = float(evals[0]), evecs[:, 0]
-        if len(positions) < len(self.states):
-            self.states = self.states[positions]
-            self.actions = self.actions.restricted(positions)
 
     def _half_products(self, ts):
         """Forward half-products at every step size, stacked state-major.
@@ -665,23 +695,23 @@ def hartree_fock_overlap(terms, n_electrons=None, degeneracy_tol=1e-10,
     n_e = terms.n_electrons if n_electrons is None else int(n_electrons)
     if n_e <= 0:
         raise ValueError(f"need a positive electron count, got {n_e}")
-    sector = build_matrix(terms, particle_sector=n_e, qubit_cap=qubit_cap)
     hf_pattern = (1 << n_e) - 1
-    hf_pos = int(np.searchsorted(sector.basis_states, hf_pattern))
-    if sector.basis_states[hf_pos] != hf_pattern:
-        raise AssertionError("reference determinant missing from sector basis")
+    home, spectrum = None, []
     # H is block-diagonal over components: only the determinant's overlaps it
-    blocks = _components(sector._actions, sector.basis_states)
-    home = next(block for block in blocks if hf_pos in block)
-    evals, evecs = np.linalg.eigh(sector.matrix[np.ix_(home, home)])
-    spectrum = np.concatenate([
-        evals if block is home
-        else np.linalg.eigvalsh(sector.matrix[np.ix_(block, block)])
-        for block in blocks
-    ])
+    for states, _, matrix in _component_matrices(terms, n_e, qubit_cap):
+        matrix[np.diag_indices_from(matrix)] += terms.core_energy
+        if hf_pattern in states:
+            evals, evecs = np.linalg.eigh(matrix)
+            home = evecs[np.searchsorted(states, hf_pattern)]
+            spectrum.append(evals)
+        else:
+            spectrum.append(np.linalg.eigvalsh(matrix))
+    if home is None:
+        raise AssertionError("reference determinant missing from sector basis")
+    spectrum = np.concatenate(spectrum)
     energy = spectrum.min()
     window = evals - energy <= degeneracy_tol
-    overlap = float(np.sum(evecs[np.searchsorted(home, hf_pos), window] ** 2))
+    overlap = float(np.sum(home[window] ** 2))
     return OverlapReport(
         overlap=overlap,
         energy=float(energy),

@@ -554,6 +554,15 @@ def scalar_clifford_count_per_step(terms, cost_table=None):
     )
 
 
+def hop_endpoints(term):
+    """The two non-repeated indices of a hopping-type term: the pair itself
+    for PQ, the symmetric difference of the creation and annihilation pairs
+    for PQQR; None for other classes."""
+    if term.term_class in ("PQ", "PQQR"):
+        return frozenset(term.creation) ^ frozenset(term.annihilation)
+    return None
+
+
 def commutator_vanishes(term_b, term_c):
     """True when [H_b, H_c] = 0 is certified by rules 1, 3, or 4."""
     if not (term_b.support & term_c.support):
@@ -564,7 +573,7 @@ def commutator_vanishes(term_b, term_c):
     return (
         term_b.term_class in hopping
         and term_c.term_class in hopping
-        and term_b.hop_endpoints == term_c.hop_endpoints
+        and hop_endpoints(term_b) == hop_endpoints(term_c)
     )
 
 
@@ -605,7 +614,7 @@ def scalar_term_arrays(terms):
         if t.term_class in ("PQ", "PQQR"):
             arrays.hopping[i] = True
             hop = np.uint64(0)
-            for so in t.hop_endpoints:
+            for so in hop_endpoints(t):
                 hop |= np.uint64(1) << np.uint64(so - 1)
             arrays.hop[i] = hop
     return arrays

@@ -172,23 +172,34 @@ def test_sampled_error_constant_refuses_an_overflowing_summand(
     assert err.startswith("error: error constant h overflows float64")
 
 
-@pytest.mark.parametrize("value, wrapped", [("1.0E+40", 20), ("1.0E+15", 0)])
+@pytest.mark.parametrize("value, wrapped, strict", [
+    pytest.param("1.0E+40", 20, False, id="1.0E+40-20"),
+    pytest.param("1.0E+15", 0, False, id="1.0E+15-0"),
+    pytest.param("1.0E+40", 20, True, id="1.0E+40-20-strict"),
+])
 def test_oracle_validate_survives_a_huge_diagonal_integral(
-    tmp_path, capsys, value, wrapped
+    tmp_path, capsys, value, wrapped, strict
 ):
     # a huge (11|11) turns one diagonal term's phases into noise: at 1e40
     # the sector eigh's round-off pushes |E_FCI| t past pi on every row,
     # at 1e15 no row wraps; the step unitaries stay unitary and their real
-    # eigenbasis meets its residual bound either way
+    # eigenbasis meets its residual bound either way. A scan that checks no
+    # step size is said so on stderr, and --strict refuses it
     source = _DATA.joinpath("h4_chain.fcidump").read_text()
     original = "5.5236777347300792E-01    1    1    1    1"
     assert source.count(original) == 1
     path = tmp_path / "big.fcidump"
     path.write_text(source.replace(original, f"{value}    1    1    1    1"))
-    data = run_json(capsys, "oracle-validate", "--fcidump", str(path))
+    argv = ["oracle-validate", "--fcidump", str(path)] + ["--strict"] * strict
+    code, out, err = run(capsys, *argv)
+    data = json.loads(out)
     assert len(data["rows"]) == 20
     assert sum(row["phase_wrapped"] for row in data["rows"]) == wrapped
     assert data["checked"] == 20 - wrapped
+    assert data["violations"] == []
+    nothing_checked = "no step size checked: all 20 rows wrapped their phase\n"
+    assert err == (nothing_checked if wrapped == 20 else "")
+    assert code == (3 if strict else 0)
 
 
 def test_oracle_validate_with_every_term_dropped(capsys):

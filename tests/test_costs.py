@@ -149,12 +149,13 @@ def test_preset_constants():
 
 
 def test_synthesis_lower_bound_check():
+    # the worst-case synthesis floor is 4 log2(1/eps) - 9 T gates
     det = SynthesisModel.preset("deterministic_worst_case")
     avg = SynthesisModel.preset("fallback_average")
     for bits in (10.0, 30.0, 50.0):
-        assert det.meets_worst_case_lower_bound(bits)
+        assert det.t_per_rotation(bits) >= 4.0 * bits - 9.0
     # the average-cost line dips below the worst-case floor at high precision
-    assert not avg.meets_worst_case_lower_bound(50.0)
+    assert avg.t_per_rotation(50.0) < 4.0 * 50.0 - 9.0
 
 
 def test_smooth_cost_monotone_in_each_component():

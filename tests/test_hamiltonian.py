@@ -55,8 +55,16 @@ def random_table(n, seed, n_electrons=None):
     v = v + v.transpose(0, 1, 3, 2)
     v = v + v.transpose(2, 3, 0, 1)
     table.two_body = v
-    table.check_symmetry(tol=1e-12)
+    assert np.array_equal(table.one_body, table.one_body.T)
+    for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        assert np.allclose(v, v.transpose(perm), rtol=0.0, atol=1e-12)
     return table
+
+
+def unmerged_count(terms):
+    """Terms with both members of each conjugate pair counted: a
+    self-adjoint term (PP, PQQP) once, an off-diagonal one twice."""
+    return sum(1 if t.is_diagonal else 2 for t in terms)
 
 
 def spin(so):
@@ -178,12 +186,14 @@ def test_dense_term_counts_match_frozen_values():
     for n, m in DENSE_M.items():
         terms = enumerate_terms(random_table(n, seed=n))
         assert terms.m == m
-        assert terms.m_unmerged == DENSE_M_UNMERGED[n]
+        assert unmerged_count(terms) == DENSE_M_UNMERGED[n]
 
 
 def test_unmerged_count_scales_as_two_body_fourth_power():
     # doubling the register should multiply the term count by about 2^4
-    counts = {n: enumerate_terms(random_table(n, seed=n)).m_unmerged for n in (2, 4, 8)}
+    counts = {
+        n: unmerged_count(enumerate_terms(random_table(n, seed=n))) for n in (2, 4, 8)
+    }
     for small, large in ((2, 4), (4, 8)):
         ratio = counts[large] / counts[small]
         assert abs(ratio - 16.0) <= 0.25 * 16.0
@@ -230,7 +240,7 @@ def test_h2_term_inventory():
         4, 0, 6, 0, 2,
     ]
     assert terms.m == 12
-    assert terms.m_unmerged == 14
+    assert unmerged_count(terms) == 14
 
 
 def test_coefficients_against_integrals():
@@ -343,7 +353,6 @@ def test_column_built_terms_match_scalar_reference_term_for_term(name):
     ]
     assert got.coefficients.tolist() == [t.coefficient for t in want]
     assert got.norms.tolist() == [t.norm for t in want]
-    assert got.m_unmerged == sum(1 if t.is_diagonal else 2 for t in want)
     assert got.by_class() == {
         c: [i for i, t in enumerate(want) if t.term_class == c]
         for c in TERM_CLASSES
@@ -414,14 +423,6 @@ def test_jw_chain_shapes():
     # shared number index outside the hop span joins the chain as a point
     assert HamiltonianTerm("PQQR", (1, 3, 1, 5), 1.0, 1.0).jw_chain == (1, 3, 4, 5)
     assert HamiltonianTerm("PQRS", (1, 2, 5, 7), 1.0, 1.0).jw_chain == (1, 2, 5, 6, 7)
-
-
-def test_hop_endpoints():
-    assert HamiltonianTerm("PQ", (2, 5), 1.0, 1.0).hop_endpoints == frozenset({2, 5})
-    assert HamiltonianTerm("PQQR", (1, 3, 3, 4), 1.0, 1.0).hop_endpoints == frozenset(
-        {1, 4}
-    )
-    assert HamiltonianTerm("PQRS", (1, 2, 3, 4), 1.0, 1.0).hop_endpoints is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,14 +113,6 @@ def test_sector_basis_and_dimensions():
     assert all(bin(int(s)).count("1") == 2 for s in sector.basis_states)
     full = build_matrix(terms)
     assert full.dim == 16
-
-
-def test_core_energy_shifts_diagonal_only():
-    terms = molecule_terms("h2_sto3g")
-    with_core = build_matrix(terms, include_core=True).matrix
-    without = build_matrix(terms, include_core=False).matrix
-    shift = with_core - without
-    assert np.allclose(shift, terms.core_energy * np.eye(shift.shape[0]), atol=1e-14)
 
 
 def test_qubit_cap_is_enforced():
@@ -303,12 +297,17 @@ def test_spin_flip_term_keeps_the_whole_sector():
     # whole 6-state particle sector: the flip joins the four states with one
     # electron per spatial orbital, and the ground state keeps the two
     # closed-shell ones, |1u 1d> and |2u 2d>
-    from qsimcost.oracle import _StrangEvaluator, _components
+    from qsimcost.oracle import (
+        _action_table,
+        _basis_states,
+        _components,
+        _StrangEvaluator,
+    )
 
     terms = spin_flip_terms()
-    sector = build_matrix(terms, particle_sector=terms.n_electrons)
-    components = _components(sector._actions, sector.basis_states)
-    assert [sector.basis_states[c].tolist() for c in components] == [
+    states = _basis_states(terms.n_spin_orbitals, terms.n_electrons)
+    components = _components(_action_table(terms, states), states)
+    assert [states[c].tolist() for c in components] == [
         [0b0011, 0b1100], [0b0101, 0b0110, 0b1001, 0b1010],
     ]
     assert _StrangEvaluator(terms).states.tolist() == [0b0011, 0b1100]
@@ -317,6 +316,20 @@ def test_spin_flip_term_keeps_the_whole_sector():
         full = strang_error_scan(terms, [t], particle_sector=None)[0]
         assert restricted.e_fci == pytest.approx(full.e_fci, abs=1e-12)
         assert restricted.delta_e == pytest.approx(full.delta_e, abs=1e-10)
+
+
+def test_overlap_with_a_spin_flip_matches_a_full_sector_eigh():
+    # the flip leaves two components; the determinant |1u 1d> and the
+    # ground state share the closed-shell one
+    terms = spin_flip_terms()
+    report = hartree_fock_overlap(terms)
+    sector = build_matrix(terms, particle_sector=terms.n_electrons)
+    evals, evecs = np.linalg.eigh(sector.matrix)
+    hf_pos = int(np.searchsorted(sector.basis_states, 0b0011))
+    assert evals[1] - evals[0] > 1e-6
+    assert not report.degenerate
+    assert report.overlap == pytest.approx(evecs[hf_pos, 0] ** 2, abs=1e-12)
+    assert report.energy == pytest.approx(evals[0], abs=1e-12)
 
 
 def nan_term_list(core_energy=0.0, coefficient=math.nan):
@@ -377,8 +390,8 @@ def test_effective_energy_slope_matches_error_operator():
                 scale = 0.5 if a == b else 1.0
                 ha = mats[a]
                 w_op += scale / 12.0 * (ha @ inner - inner @ ha)
-    hamiltonian = build_matrix(terms, include_core=False)
-    _, ground = hamiltonian.ground_state()
+    # the core energy shifts the spectrum, not the ground vector
+    _, ground = build_matrix(terms).ground_state()
     predicted = float(ground @ w_op @ ground)
 
     report = strang_error_scan(terms, [0.02])[0]
@@ -529,6 +542,49 @@ def test_components_equal_scipy_connected_components(name):
     twice_sz = oracle._twice_sz(states)
     keys = [(abs(twice_sz[c[0]]), twice_sz[c[0]], c[0]) for c in components]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name", MOLECULES + list(FIXTURE_CHAINS) + ["spin_flip"])
+def test_component_matrices_equal_their_sector_blocks(name):
+    # the split keeps each component's entries in sector order, so every
+    # element is the same sequential sum as in the sector matrix
+    from qsimcost import oracle
+
+    if name == "spin_flip":
+        terms = spin_flip_terms()
+    else:
+        terms = chain_terms(name) if name in FIXTURE_CHAINS else molecule_terms(name)
+    bare = copy.copy(terms)
+    bare.core_energy = 0.0
+    sector = build_matrix(bare, particle_sector=terms.n_electrons)
+    covered = []
+    for states, table, matrix in oracle._component_matrices(
+        terms, terms.n_electrons, oracle.DEFAULT_QUBIT_CAP
+    ):
+        positions = np.searchsorted(sector.basis_states, states)
+        assert np.array_equal(sector.basis_states[positions], states)
+        assert np.array_equal(matrix, sector.matrix[np.ix_(positions, positions)])
+        assert np.all(np.diff(table.term) >= 0)
+        covered.append(positions)
+    assert len(covered) > 1
+    assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(sector.dim))
+
+
+@pytest.mark.parametrize("set_up", ["evaluator", "overlap"])
+def test_h6_set_up_holds_no_sector_sized_matrix(set_up):
+    # the largest H6 component holds 200 of the sector's 924 states, so no
+    # allocation should reach one dense 924 x 924 float64 matrix
+    from qsimcost.oracle import _StrangEvaluator
+
+    terms = chain_terms("h6_chain")
+    call = {"evaluator": _StrangEvaluator, "overlap": hartree_fock_overlap}[set_up]
+    tracemalloc.start()
+    try:
+        call(terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 924 * 924 * 8
 
 
 def test_parity_breaking_hop_merges_the_sz_block():

@@ -9,8 +9,9 @@ import sys
 import types
 
 import qsimcost
-from qsimcost.hamiltonian import HamiltonianTerm
-from qsimcost.oracle import _StrangEvaluator
+from qsimcost.costs import SynthesisModel
+from qsimcost.hamiltonian import HamiltonianTerm, IntegralTable, TermList
+from qsimcost.oracle import FockMatrixHamiltonian, _ActionTable, _StrangEvaluator
 
 LAYERS = (
     "hamiltonian", "trotter", "oracle", "costs", "par", "surface_code",
@@ -57,10 +58,18 @@ def test_public_surface_is_the_layer_exports():
     assert "samples" not in inspect.signature(
         qsimcost.estimate_error_constant
     ).parameters
-    for attribute in ("number_indices", "sort_key"):
-        assert not hasattr(HamiltonianTerm, attribute), attribute
-    for attribute in ("report", "step_unitary"):
-        assert not hasattr(_StrangEvaluator, attribute), attribute
+    for owner, attributes in (
+        (HamiltonianTerm, ("number_indices", "sort_key", "hop_endpoints")),
+        (IntegralTable, ("check_symmetry",)),
+        (TermList, ("m_unmerged",)),
+        (SynthesisModel, ("meets_worst_case_lower_bound",)),
+        (_StrangEvaluator, ("report", "step_unitary")),
+        (FockMatrixHamiltonian, ("_actions",)),
+        (_ActionTable, ("restricted",)),
+    ):
+        for attribute in attributes:
+            assert not hasattr(owner, attribute), f"{owner.__name__}.{attribute}"
+    assert "include_core" not in inspect.signature(qsimcost.build_matrix).parameters
 
 
 def test_import_loads_neither_scipy_nor_mpmath():

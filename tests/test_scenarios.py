@@ -99,7 +99,10 @@ def test_eps_key_is_the_shortest_label_that_reads_back(epsilon, label):
 
 def test_reference_reports_reproduce_processor_conventions():
     # the published processor block lists 111/110/109 logical qubits
-    for strategy, expected in (("serial", 111), ("par", 110), ("nesting", 109)):
+    published = PRESETS["structures"]["struct-1"]["reference_fault_tolerance"][
+        "1e-04"]["processor_logical_qubits"]
+    assert set(published) == {"serial", "par", "nesting"}
+    for strategy, expected in published.items():
         logical = reference_logical_report("struct-1", strategy, 1e-4, PRESETS)
         report = physical_report(logical, FTParams(p_clifford=1e-6))
         assert report.processor_logical_qubits == expected

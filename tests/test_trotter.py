@@ -21,6 +21,7 @@ from oracles import (
     commutator_vanishes,
     exhaustive_error_constant,
     exhaustive_error_constant_by_key,
+    hop_endpoints,
     nested_commutator_vanishes,
     outer_vanishes,
     random_canonical_terms,
@@ -118,7 +119,7 @@ def test_every_rule_fires_somewhere():
             elif (
                 ti.term_class in ("PQ", "PQQR")
                 and tj.term_class in ("PQ", "PQQR")
-                and ti.hop_endpoints == tj.hop_endpoints
+                and hop_endpoints(ti) == hop_endpoints(tj)
             ):
                 same_hop += 1
     assert disjoint_pairs > 0
