@@ -293,9 +293,12 @@ def _scenario_from_args(args):
     config = {}
     if args.config:
         with open(args.config) as handle:
-            config = json.load(handle)
+            try:
+                config = json.load(handle)
+            except ValueError as exc:  # not JSON, or not text
+                raise ValueError(f"--config {args.config}: {exc}") from None
         if not isinstance(config, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"--config {args.config}: must hold a JSON object")
     overrides = {
         "structure": args.structure,
         "fcidump": args.fcidump,
@@ -476,7 +479,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -370,20 +370,20 @@ def _first_minimum(values):
 
 
 def approx_optimal_budget(m_terms, epsilon_total, beta, pe, synth,
-                          combination="worst_case", grid=120):
+                          combination="worst_case"):
     """Closed-form-guided seed for the budget optimizer.
 
     For the worst_case rule the smooth cost with a constant synthesis term
-    is stationary at e1 = 2 * e2, so the seed scans e3 and splits the
-    remainder that way, in one evaluate_cost_smooth call. For the variance
-    rule the seed is the first minimum of the smooth cost on a grid x grid
-    log grid over (e1, e3), scored 15 rows per call to keep the arrays
-    small. The budget constraint is saturated in both cases since the cost
-    is monotone decreasing in every component. Returns None if the seed
-    fails ErrorBudget validation.
+    is stationary at e1 = 2 * e2, so the seed scans e3 over a 120-point log
+    grid and splits the remainder that way. For the variance rule the seed
+    is the first minimum of the smooth cost on the 120 x 120 log grid over
+    (e1, e3). Either grid is one evaluate_cost_smooth call. The budget
+    constraint is saturated in both cases since the cost is monotone
+    decreasing in every component. Returns None if the seed fails
+    ErrorBudget validation.
     """
     axis = np.geomspace(epsilon_total * 1e-9, epsilon_total * (1.0 - 1e-9),
-                        grid)
+                        120)
     if combination == "worst_case":
         rest = epsilon_total - axis
         e1, e2 = 2.0 * rest / 3.0, rest / 3.0
@@ -392,15 +392,13 @@ def approx_optimal_budget(m_terms, epsilon_total, beta, pe, synth,
         ))
         e1, e2, e3 = e1[i], e2[i], axis[i]
     else:
-        best = math.inf
-        for rows in (axis[k:k + 15, None] for k in range(0, grid, 15)):
-            value, (i, j) = _first_minimum(evaluate_cost_smooth(
-                m_terms, rows, epsilon_total - np.hypot(rows, axis), axis,
-                epsilon_total, beta, pe, synth,
-            ))
-            if value < best:
-                best, e1, e3 = value, rows[i, 0], axis[j]
-                e2 = _e2_from_rule(epsilon_total, e1, e3, combination)
+        rows = axis[:, None]
+        best, (i, j) = _first_minimum(evaluate_cost_smooth(
+            m_terms, rows, epsilon_total - np.hypot(rows, axis), axis,
+            epsilon_total, beta, pe, synth,
+        ))
+        e1, e3 = axis[i], axis[j]
+        e2 = _e2_from_rule(epsilon_total, e1, e3, combination)
     if not best < math.inf:
         raise ValueError("no feasible budget found; epsilon_total too small")
     try:

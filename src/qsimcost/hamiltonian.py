@@ -181,16 +181,6 @@ class HamiltonianTerm:
         return len(self.spin_orbitals) <= 2
 
     @property
-    def creation(self):
-        """Creation index pair (ascending) of the representative monomial."""
-        return self.spin_orbitals[: 1 if self.is_one_body else 2]
-
-    @property
-    def annihilation(self):
-        """Annihilation index pair (ascending) of the representative monomial."""
-        return self.spin_orbitals[-1 if self.is_one_body else 2 :]
-
-    @property
     def jw_chain(self):
         """Qubits of the term's Jordan-Wigner string, parity chain included.
 
@@ -333,6 +323,18 @@ def _columns(terms):
     coefficients = np.fromiter((t.coefficient for t in terms), float, m)
     norms = np.fromiter((t.norm for t in terms), float, m)
     return codes, index, coefficients, norms
+
+
+def _index_words(index, combine):
+    """(M, W) uint64 words of each index row's bits, W = ceil(max index / 64):
+    bit (so - 1) % 64 of word (so - 1) // 64 stands for spin orbital so.
+    combine (np.bitwise_or for supports, np.bitwise_xor for hop endpoints)
+    merges a row's bits; the zero padding sets none. The words are stored
+    word-major, so each word's column is contiguous."""
+    bit = index - 1  # the zero padding becomes -1, in no word
+    word = np.arange(-(-int(index.max(initial=0)) // 64))[:, None, None]
+    one = np.uint64(1) << (bit & 63).astype(np.uint64)
+    return combine.reduce(np.where(bit >> 6 == word, one, np.uint64(0)), axis=2).T
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +505,16 @@ def enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):
 
     Args:
         table: IntegralTable with chemist-notation integrals.
-        drop_threshold: terms with abs(coefficient) <= this are removed.
+        drop_threshold: terms with abs(coefficient) <= this are removed;
+            a non-finite value raises ValueError.
         norm_multipliers: optional map class name -> norm multiplier applied
             on top of abs(coefficient); defaults to 1.0 for every class.
 
     Returns:
         TermList in lexicographic canonical order.
     """
+    if not math.isfinite(drop_threshold):
+        raise ValueError(f"drop_threshold must be finite, got {drop_threshold}")
     multipliers = {c: 1.0 for c in TERM_CLASSES}
     if norm_multipliers:
         unknown = set(norm_multipliers) - set(TERM_CLASSES)

@@ -675,8 +675,7 @@ class OverlapReport:
     n_electrons: int
 
 
-def hartree_fock_overlap(terms, n_electrons=None, degeneracy_tol=1e-10,
-                         qubit_cap=DEFAULT_QUBIT_CAP):
+def hartree_fock_overlap(terms, n_electrons=None, qubit_cap=DEFAULT_QUBIT_CAP):
     """Overlap of the lowest-filled determinant with the exact ground state.
 
     The reference determinant occupies the n_electrons lowest spin orbitals
@@ -687,7 +686,6 @@ def hartree_fock_overlap(terms, n_electrons=None, degeneracy_tol=1e-10,
     Args:
         terms: TermList from enumerate_terms.
         n_electrons: sector; defaults to the count carried by the term list.
-        degeneracy_tol: eigenvalue window treated as one ground space.
 
     Returns:
         OverlapReport.
@@ -710,11 +708,11 @@ def hartree_fock_overlap(terms, n_electrons=None, degeneracy_tol=1e-10,
         raise AssertionError("reference determinant missing from sector basis")
     spectrum = np.concatenate(spectrum)
     energy = spectrum.min()
-    window = evals - energy <= degeneracy_tol
+    window = evals - energy <= _DEGENERACY_TOL
     overlap = float(np.sum(home[window] ** 2))
     return OverlapReport(
         overlap=overlap,
         energy=float(energy),
-        degenerate=int(np.count_nonzero(spectrum - energy <= degeneracy_tol)) > 1,
+        degenerate=int(np.count_nonzero(spectrum - energy <= _DEGENERACY_TOL)) > 1,
         n_electrons=n_e,
     )

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .hamiltonian import TermList
+from .hamiltonian import TermList, _index_words
 
 __all__ = [
     "ParParams",
@@ -153,15 +153,10 @@ def simulate_par_factory_time(params, trials=10**6, seed=0):
 
 def _support_masks(terms):
     """Python-int support masks, bit so - 1 for spin orbital so; a TermList's
-    come from its index table, one 64-bit word at a time, at any width."""
+    fold its support words together, the most significant first."""
     if not isinstance(terms, TermList):
         return [sum(1 << (so - 1) for so in term.support) for term in terms]
-    bit = terms.index - 1  # the zero padding becomes -1, in no word
-    one = np.uint64(1) << (bit % 64).astype(np.uint64)
-    words = []
-    for k in range(int(bit.max(initial=-1)) // 64 + 1):
-        word = np.where(bit // 64 == k, one, np.uint64(0))
-        words.append(np.bitwise_or.reduce(word, axis=1).tolist())
+    words = _index_words(terms.index, np.bitwise_or).T.tolist()
     masks = words.pop() if words else []
     for word in reversed(words):
         masks = [mask << 64 | w for mask, w in zip(masks, word)]

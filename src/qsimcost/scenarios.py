@@ -241,6 +241,8 @@ class ScenarioBundle:
 
 def _resolved_models(scenario, presets):
     if scenario.structure is not None:
+        if scenario.beta_case not in presets["cases"]:
+            raise ValueError(f"unknown beta case {scenario.beta_case!r}")
         case = presets["cases"][scenario.beta_case]
         pe_name = scenario.pe_model or case["pe"]
         synth_name = scenario.synthesis_model or case["synthesis"]
@@ -255,8 +257,6 @@ def _resolve(scenario, presets):
     pe, synth = _resolved_models(scenario, presets)
     if scenario.structure is not None:
         entry = _structure_entry(scenario.structure, presets)
-        if scenario.beta_case not in entry["beta"]:
-            raise ValueError(f"unknown beta case {scenario.beta_case!r}")
         beta = float(entry["beta"][scenario.beta_case])
         return {
             "label": entry["label"],

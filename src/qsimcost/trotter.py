@@ -44,12 +44,13 @@ exhaustive mode reproduces the deterministic sum up to summation order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .hamiltonian import _DIAGONAL_CODES, TERM_CLASSES
+from .hamiltonian import _DIAGONAL_CODES, TERM_CLASSES, _index_words
 
 __all__ = [
     "ErrorConstantEstimate",
@@ -57,7 +58,6 @@ __all__ = [
     "trotter_number",
 ]
 
-_MAX_MASK_BITS = 64
 _HOPPING_CODES = [TERM_CLASSES.index(c) for c in ("PQ", "PQQR")]
 
 
@@ -69,38 +69,36 @@ class _TermArrays:
     """Per-term masks and weights packed for vectorized triple evaluation.
 
     Read from the TermList's columns (class codes, the zero-padded (M, 4)
-    index table and norms): bit so-1 of a mask stands for spin orbital so.
-    support ORs the bits of a term's indices (the zero padding sets none);
+    index table and norms). support and hop are (M, W) uint64 word arrays
+    from hamiltonian._index_words, W = ceil(largest index / 64), so a
+    register of any width fits: support ORs the bits of a term's indices;
     hop XORs them on PQ and PQQR terms, where the shared index of a PQQR
-    cancels and leaves its two hop endpoints.
+    cancels and leaves its two hop endpoints, and is zero elsewhere.
     """
 
     def __init__(self, terms):
-        if terms.n_spin_orbitals > _MAX_MASK_BITS:
-            raise ValueError(
-                f"triple evaluation packs supports into {_MAX_MASK_BITS}-bit "
-                f"masks; {terms.n_spin_orbitals} spin orbitals exceed that"
-            )
         codes, index = terms.codes, terms.index
         self.m = len(codes)
         self.norm = terms.norms
-        bits = np.where(
-            index > 0,
-            np.uint64(1) << np.maximum(index - 1, 0).astype(np.uint64),
-            np.uint64(0),
-        )
-        self.support = np.bitwise_or.reduce(bits, axis=1)
+        self.support = _index_words(index, np.bitwise_or)
         self.diagonal = np.isin(codes, _DIAGONAL_CODES)
         self.hopping = np.isin(codes, _HOPPING_CODES)
         self.hop = np.where(
-            self.hopping, np.bitwise_xor.reduce(bits, axis=1), np.uint64(0)
+            self.hopping[:, None], _index_words(index, np.bitwise_xor),
+            np.uint64(0),
         )
         self.class_code = codes
 
     def _inner_zero(self, b, c):
-        disjoint = (self.support[b] & self.support[c]) == 0
+        # each test must hold in every word
+        disjoint = functools.reduce(
+            np.logical_and, [(word[b] & word[c]) == 0 for word in self.support.T]
+        )
+        same_hop = functools.reduce(
+            np.logical_and, [word[b] == word[c] for word in self.hop.T],
+            self.hopping[b] & self.hopping[c],
+        )
         both_diag = self.diagonal[b] & self.diagonal[c]
-        same_hop = self.hopping[b] & self.hopping[c] & (self.hop[b] == self.hop[c])
         return disjoint | both_diag | same_hop
 
     def gamma(self, a, b, c):

@@ -288,8 +288,9 @@ def _e2_from_rule(epsilon_total, e1, e3, combination):
 
 
 def scalar_approx_optimal_budget(m_terms, epsilon_total, beta, pe, synth,
-                                 combination="worst_case", grid=120):
+                                 combination="worst_case"):
     """Seed grid of the budget search, one smooth-cost call per point."""
+    grid = 120
     lo = epsilon_total * 1e-9
     hi = epsilon_total * (1.0 - 1e-9)
     best = (math.inf, None)
@@ -554,12 +555,22 @@ def scalar_clifford_count_per_step(terms, cost_table=None):
     )
 
 
+def monomial_pairs(term):
+    """(creation, annihilation) index tuples of the representative monomial:
+    the first and last index of a one-body term, the two halves of a
+    two-body term's canonical tuple."""
+    idx = term.spin_orbitals
+    half = (len(idx) + 1) // 2
+    return idx[:half], idx[-half:]
+
+
 def hop_endpoints(term):
     """The two non-repeated indices of a hopping-type term: the pair itself
     for PQ, the symmetric difference of the creation and annihilation pairs
     for PQQR; None for other classes."""
     if term.term_class in ("PQ", "PQQR"):
-        return frozenset(term.creation) ^ frozenset(term.annihilation)
+        creation, annihilation = monomial_pairs(term)
+        return frozenset(creation) ^ frozenset(annihilation)
     return None
 
 
@@ -594,29 +605,31 @@ def nested_commutator_vanishes(term_a, term_b, term_c):
 
 
 def scalar_term_arrays(terms):
-    """The triple evaluator's per-term arrays, packed one term at a time."""
+    """The triple evaluator's per-term arrays, packed one term at a time:
+    support and hop are (m, W) uint64 words, W = ceil(largest index / 64),
+    spin orbital so setting bit (so - 1) % 64 of word (so - 1) // 64."""
     m = len(terms)
+    width = -(-max((max(t.support) for t in terms), default=0) // 64)
     arrays = types.SimpleNamespace(m=m)
     arrays.norm = np.array([t.norm for t in terms], dtype=float)
-    arrays.support = np.zeros(m, dtype=np.uint64)
-    arrays.hop = np.zeros(m, dtype=np.uint64)
+    arrays.support = np.zeros((m, width), dtype=np.uint64)
+    arrays.hop = np.zeros((m, width), dtype=np.uint64)
     arrays.diagonal = np.zeros(m, dtype=bool)
     arrays.hopping = np.zeros(m, dtype=bool)
     arrays.class_code = np.zeros(m, dtype=np.int8)
     class_index = {c: i for i, c in enumerate(TERM_CLASSES)}
+
+    def set_bits(row, spin_orbitals):
+        for so in spin_orbitals:
+            row[(so - 1) // 64] |= np.uint64(1) << np.uint64((so - 1) % 64)
+
     for i, t in enumerate(terms):
-        mask = np.uint64(0)
-        for so in t.support:
-            mask |= np.uint64(1) << np.uint64(so - 1)
-        arrays.support[i] = mask
+        set_bits(arrays.support[i], t.support)
         arrays.diagonal[i] = t.is_diagonal
         arrays.class_code[i] = class_index[t.term_class]
         if t.term_class in ("PQ", "PQQR"):
             arrays.hopping[i] = True
-            hop = np.uint64(0)
-            for so in hop_endpoints(t):
-                hop |= np.uint64(1) << np.uint64(so - 1)
-            arrays.hop[i] = hop
+            set_bits(arrays.hop[i], hop_endpoints(t))
     return arrays
 
 
@@ -716,8 +729,9 @@ class ScalarTermAction:
     @staticmethod
     def _operator_sequence(term):
         """Right-to-left elementary operators of the representative monomial."""
-        return [("-", a) for a in term.annihilation] + [
-            ("+", c) for c in term.creation[::-1]
+        creation, annihilation = monomial_pairs(term)
+        return [("-", a) for a in annihilation] + [
+            ("+", c) for c in creation[::-1]
         ]
 
     def add_to(self, matrix):

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from qsimcost import load_molecule, write_fcidump
+from qsimcost import IntegralTable, load_molecule, write_fcidump
 from qsimcost.cli import build_parser, main
 
 _DATA = importlib.resources.files("qsimcost.data")
@@ -64,6 +64,26 @@ def test_trotter_bound_exhaustive(capsys):
     assert data["h_bound"] == pytest.approx(57.98183305185067)
     assert data["population"] == 12**3
     assert sum(data["per_class"].values()) == pytest.approx(data["h_bound"])
+
+
+def test_register_past_64_spin_orbitals(tmp_path, capsys):
+    # a 33-site chain: 66 spin orbitals, two support words per term
+    table = IntegralTable(33, n_electrons=2, core_energy=1.0)
+    for p in range(1, 34):
+        table.set_one_body(p, p, -1.0 + 0.01 * p)
+        table.set_two_body(p, p, p, p, 0.5)
+        if p < 33:
+            table.set_one_body(p, p + 1, -0.2)
+            table.set_two_body(p, p, p + 1, p + 1, 0.1)
+    path = str(tmp_path / "chain33.fcidump")
+    write_fcidump(table, path)
+    bound = run_json(capsys, "trotter-bound", "--fcidump", path)
+    assert bound["method"] == "exhaustive"
+    assert bound["population"] == 291**3
+    assert math.isfinite(bound["h_bound"]) and bound["h_bound"] > 0
+    report = run_json(capsys, "report", "--fcidump", path)
+    assert report["parameters"]["n_spin_orbitals"]["value"] == 66
+    assert report["parameters"]["h_bound"]["value"] == bound["h_bound"]
 
 
 def test_trotter_bound_stratified_seeded(capsys):
@@ -552,6 +572,34 @@ def test_report_validation_errors(tmp_path, capsys):
     config.write_text(json.dumps({"structure": "struct-1", "strategies": []}))
     code, _, err = run(capsys, "report", "--config", str(config))
     assert code == 2
+
+
+def test_report_names_an_unknown_beta_case(capsys):
+    code, out, err = run(
+        capsys, "report", "--structure", "struct-1", "--beta-case", "nope"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown beta case 'nope'\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_drop_threshold_is_named(capsys, value):
+    code, out, err = run(
+        capsys, "ingest", "--fcidump", H4, "--drop-threshold", value
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: drop_threshold must be finite")
+
+
+def test_report_names_a_config_that_is_not_json(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"structure": "struct-1", bogus}')
+    code, out, err = run(capsys, "report", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --config {config}: Expecting property name")
 
 
 def test_main_reuses_one_parser_without_carrying_state(capsys):

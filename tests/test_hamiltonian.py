@@ -23,6 +23,7 @@ from qsimcost import (
 from qsimcost.hamiltonian import TERM_CLASSES
 
 from oracles import (
+    monomial_pairs,
     random_canonical_terms,
     scalar_clifford_count_per_step,
     scalar_enumerate_terms,
@@ -280,9 +281,8 @@ def test_h2_pqrs_coefficients_are_exchange_integral():
 
 def test_every_term_conserves_spin():
     for t in enumerate_terms(random_table(4, seed=9)):
-        assert sorted(spin(i) for i in t.creation) == sorted(
-            spin(i) for i in t.annihilation
-        )
+        creation, annihilation = monomial_pairs(t)
+        assert sorted(map(spin, creation)) == sorted(map(spin, annihilation))
 
 
 def test_terms_are_lexicographically_sorted_and_merged():
@@ -292,9 +292,10 @@ def test_terms_are_lexicographically_sorted_and_merged():
     assert len(set(keys)) == len(keys)
     for t in terms:
         if not t.is_one_body:
-            assert t.creation <= t.annihilation
-            assert t.creation[0] < t.creation[1]
-            assert t.annihilation[0] < t.annihilation[1]
+            creation, annihilation = monomial_pairs(t)
+            assert creation <= annihilation
+            assert creation[0] < creation[1]
+            assert annihilation[0] < annihilation[1]
 
 
 def test_drop_threshold_removes_small_terms():

@@ -22,7 +22,7 @@ LAYERS = (
 GONE = {
     "trotter": (
         "TrotterNumberModel", "trotter_number_model", "sampling_variance",
-        "chebyshev_samples",
+        "chebyshev_samples", "_MAX_MASK_BITS",
     ),
     "oracle": ("strang_effective_energy",),
 }
@@ -59,7 +59,10 @@ def test_public_surface_is_the_layer_exports():
         qsimcost.estimate_error_constant
     ).parameters
     for owner, attributes in (
-        (HamiltonianTerm, ("number_indices", "sort_key", "hop_endpoints")),
+        (HamiltonianTerm, (
+            "number_indices", "sort_key", "hop_endpoints", "creation",
+            "annihilation",
+        )),
         (IntegralTable, ("check_symmetry",)),
         (TermList, ("m_unmerged",)),
         (SynthesisModel, ("meets_worst_case_lower_bound",)),
@@ -69,7 +72,12 @@ def test_public_surface_is_the_layer_exports():
     ):
         for attribute in attributes:
             assert not hasattr(owner, attribute), f"{owner.__name__}.{attribute}"
-    assert "include_core" not in inspect.signature(qsimcost.build_matrix).parameters
+    for function, parameter in (
+        (qsimcost.build_matrix, "include_core"),
+        (qsimcost.hartree_fock_overlap, "degeneracy_tol"),
+        (qsimcost.costs.approx_optimal_budget, "grid"),
+    ):
+        assert parameter not in inspect.signature(function).parameters, parameter
 
 
 def test_import_loads_neither_scipy_nor_mpmath():

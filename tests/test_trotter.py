@@ -50,6 +50,14 @@ def chain_terms(name):
     return enumerate_terms(parse_fcidump(FIXTURES / f"{name}.fcidump"))
 
 
+def named_terms(name):
+    if name == "synthetic":  # every class, indices up to bit 63: one word
+        return random_canonical_terms(64, 200, seed=2)
+    if name == "synthetic-128":  # two support words, terms straddling both
+        return random_canonical_terms(128, 200, seed=2)
+    return molecule_terms(name) if name in BUNDLED else chain_terms(name)
+
+
 def comm(x, y):
     return x @ y - y @ x
 
@@ -185,12 +193,13 @@ def test_exhaustive_matches_frozen_h5_plus_chain():
 
 @pytest.mark.parametrize("n_spin_orbitals, count, seed", [
     (8, 25, 0), (8, 40, 1), (10, 33, 2), (10, 50, 3),
-    (40, 60, 4), (48, 27, 5), (56, 80, 6), (64, 71, 7),
+    (40, 60, 4), (48, 27, 5), (56, 80, 6), (64, 71, 7), (128, 40, 1),
 ])
 def test_exhaustive_strata_match_triple_loop_on_random_terms(
     n_spin_orbitals, count, seed
 ):
-    # narrow registers overlap most supports, wide ones leave most disjoint
+    # narrow registers overlap most supports, wide ones leave most disjoint;
+    # 128 spin orbitals take two support words
     terms = random_canonical_terms(n_spin_orbitals, count, seed)
     sequence = list(terms)
     reference = exhaustive_error_constant_by_key(
@@ -307,14 +316,11 @@ def test_empty_term_list_gives_zero():
     assert estimate.value == 0.0
 
 
-@pytest.mark.parametrize("name", BUNDLED + ("h5p_chain", "h8_chain", "synthetic"))
+@pytest.mark.parametrize(
+    "name", BUNDLED + ("h5p_chain", "h8_chain", "synthetic", "synthetic-128")
+)
 def test_term_arrays_match_scalar_packing(name):
-    if name == "synthetic":  # every class, indices up to bit 63
-        terms = random_canonical_terms(64, 200, seed=2)
-    elif name in BUNDLED:
-        terms = molecule_terms(name)
-    else:
-        terms = chain_terms(name)
+    terms = named_terms(name)
     arrays = _TermArrays(terms)
     want = scalar_term_arrays(terms)
     assert arrays.m == want.m
@@ -322,13 +328,6 @@ def test_term_arrays_match_scalar_packing(name):
         got, ref = getattr(arrays, field), getattr(want, field)
         assert got.dtype == ref.dtype, field
         np.testing.assert_array_equal(got, ref, err_msg=field)
-
-
-def test_register_too_wide_for_masks():
-    term = HamiltonianTerm("PP", (65,), 1.0, 1.0)
-    wide = TermList(terms=(term,), n_spin_orbitals=65)
-    with pytest.raises(ValueError, match="64-bit"):
-        estimate_error_constant(wide)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +344,12 @@ def _reference_estimate(terms, samples_per_stratum, seed):
     )
 
 
-@pytest.mark.parametrize("name", ["h6_chain", "h8_chain", "h10_chain"])
+@pytest.mark.parametrize(
+    "name", ["h6_chain", "h8_chain", "h10_chain", "synthetic-128"]
+)
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_stratified_matches_per_stratum_reference(name, seed):
-    terms = chain_terms(name)
+    terms = named_terms(name)
     got = estimate_error_constant(terms, method="stratified", seed=seed)
     want = _reference_estimate(terms, 200, seed)
     assert got == want
