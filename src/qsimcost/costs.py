@@ -369,6 +369,24 @@ def _first_minimum(values):
     return values[index], index
 
 
+def _no_finite_budget(m_terms, epsilon_total, beta, pe, synth, combination):
+    """The error for a problem whose every candidate split costs inf. When
+    the smallest problem, M = beta = 1, has a finite cost at this
+    epsilon_total, the inf is the T count of m_terms and beta overflowing
+    float64, not too small an epsilon_total."""
+    if (m_terms, beta) != (1, 1):
+        try:
+            approx_optimal_budget(1, epsilon_total, 1, pe, synth, combination)
+        except ValueError:
+            pass
+        else:
+            return ValueError(
+                f"the T count overflows float64 at m_terms={m_terms:g} and "
+                f"beta={beta:g}"
+            )
+    return ValueError("no feasible budget found; epsilon_total too small")
+
+
 def approx_optimal_budget(m_terms, epsilon_total, beta, pe, synth,
                           combination="worst_case"):
     """Closed-form-guided seed for the budget optimizer.
@@ -400,7 +418,8 @@ def approx_optimal_budget(m_terms, epsilon_total, beta, pe, synth,
         e1, e3 = axis[i], axis[j]
         e2 = _e2_from_rule(epsilon_total, e1, e3, combination)
     if not best < math.inf:
-        raise ValueError("no feasible budget found; epsilon_total too small")
+        raise _no_finite_budget(m_terms, epsilon_total, beta, pe, synth,
+                                combination)
     try:
         return ErrorBudget(epsilon_total, e1, e2, e3, combination)
     except ValueError:
@@ -439,7 +458,7 @@ def optimize_budget(m_terms, epsilon_total, beta, pe, synth,
         _ceiled_t_counts(*problem, *np.array(points).T)
     )
     if not best_cost < math.inf:
-        raise ValueError("no feasible budget found; epsilon_total too small")
+        raise _no_finite_budget(*problem)
     e1, e3 = points[i]
     for span in (30.0, 6.0, 1.6, 1.15, 1.03):
         grid1 = np.geomspace(e1 / span, min(e1 * span, epsilon_total), 17)

@@ -203,29 +203,28 @@ class HamiltonianTerm:
 
 
 class TermList:
-    """Hermitian-merged term list in lexicographic canonical-tuple order.
+    """Hermitian-merged term list; its row order is the step order.
 
     Stored as read-only columns, one row per merged term: codes (int8, the
     position in TERM_CLASSES), index ((M, 4) int64, the canonical
-    spin_orbitals left-aligned and zero-padded; indices start at 1, so rows
-    sort like the tuples), coefficients and norms (float64). enumerate_terms
-    fills them directly, TermList(terms=...) derives them from the objects;
-    iteration, indexing and .terms build HamiltonianTerm objects once, on
-    demand.
+    spin_orbitals left-aligned and zero-padded; indices start at 1),
+    coefficients and norms (float64). Every consumer applies the rows in
+    the order given; enumerate_terms fills the columns directly in
+    lexicographic canonical-tuple order, TermList(terms=...) derives them
+    from the objects in their order. Iteration, indexing and .terms build
+    HamiltonianTerm objects once, on demand.
 
     Attributes:
-        terms: tuple of HamiltonianTerm in canonical-tuple order.
+        terms: tuple of HamiltonianTerm in row order.
         n_spin_orbitals: width of the spin-orbital register.
         n_electrons: electron count carried through from the integrals.
         core_energy: constant shift, excluded from the terms.
-        ordering: label of the ordering rule in force.
     """
 
-    def __init__(self, terms, n_spin_orbitals, n_electrons=0, core_energy=0.0,
-                 ordering="lexicographic"):
+    def __init__(self, terms, n_spin_orbitals, n_electrons=0, core_energy=0.0):
         self._terms = tuple(terms)
         self._set_columns(*_columns(self._terms), n_spin_orbitals, n_electrons,
-                          core_energy, ordering)
+                          core_energy)
 
     @classmethod
     def _from_columns(cls, *args, **kwargs):
@@ -235,12 +234,7 @@ class TermList:
         return self
 
     def _set_columns(self, codes, index, coefficients, norms, n_spin_orbitals,
-                     n_electrons=0, core_energy=0.0, ordering="lexicographic"):
-        # the first nonzero step between consecutive rows decides their order
-        step = np.diff(index, axis=0)
-        first = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
-        if (first < 0).any():
-            raise ValueError("terms are not in lexicographic canonical order")
+                     n_electrons=0, core_energy=0.0):
         outside = np.flatnonzero(index.max(axis=1, initial=0) > n_spin_orbitals)
         if len(outside):
             row = outside[0]
@@ -255,7 +249,6 @@ class TermList:
         self.n_spin_orbitals = n_spin_orbitals
         self.n_electrons = n_electrons
         self.core_energy = core_energy
-        self.ordering = ordering
 
     @property
     def terms(self):
@@ -286,8 +279,7 @@ class TermList:
 
     def _state(self):
         return (self.codes, self.index, self.coefficients, self.norms,
-                self.n_spin_orbitals, self.n_electrons, self.core_energy,
-                self.ordering)
+                self.n_spin_orbitals, self.n_electrons, self.core_energy)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -301,7 +293,7 @@ class TermList:
         return (
             f"TermList(terms={self.terms!r}, n_spin_orbitals="
             f"{self.n_spin_orbitals!r}, n_electrons={self.n_electrons!r}, "
-            f"core_energy={self.core_energy!r}, ordering={self.ordering!r})"
+            f"core_energy={self.core_energy!r})"
         )
 
     def by_class(self):
@@ -325,16 +317,16 @@ def _columns(terms):
     return codes, index, coefficients, norms
 
 
-def _index_words(index, combine):
-    """(M, W) uint64 words of each index row's bits, W = ceil(max index / 64):
-    bit (so - 1) % 64 of word (so - 1) // 64 stands for spin orbital so.
-    combine (np.bitwise_or for supports, np.bitwise_xor for hop endpoints)
-    merges a row's bits; the zero padding sets none. The words are stored
-    word-major, so each word's column is contiguous."""
+def _index_bits(index):
+    """(W, M, 4) uint64 bits of each index row, W = ceil(max index / 64):
+    spin orbital so sets bit (so - 1) % 64 of word (so - 1) // 64, and the
+    zero padding sets none. Reducing over the last axis with np.bitwise_or
+    gives the (W, M) support words, with np.bitwise_xor the hop endpoints;
+    their .T is (M, W) with each word's column contiguous."""
     bit = index - 1  # the zero padding becomes -1, in no word
     word = np.arange(-(-int(index.max(initial=0)) // 64))[:, None, None]
     one = np.uint64(1) << (bit & 63).astype(np.uint64)
-    return combine.reduce(np.where(bit >> 6 == word, one, np.uint64(0)), axis=2).T
+    return np.where(bit >> 6 == word, one, np.uint64(0))
 
 
 # ---------------------------------------------------------------------------
@@ -637,27 +629,23 @@ def clifford_count_per_step(terms, cost_table=None):
 
     Closed form: each term's chain (HamiltonianTerm.jw_chain) is a row of
     a boolean membership matrix built from two index ranges per term, read
-    off the TermList's class codes and index table (a plain iterable is
-    converted to those columns first), and its width w is the row sum. Two
-    consecutive chains agree on their first k qubits, where k counts the
-    set bits of the earlier row before the first column in which the rows
-    differ (all of them when none does); their ladders then share
+    off the TermList's class codes and index table, and its width w is the
+    row sum. Two consecutive chains agree on their first k qubits, where k
+    counts the set bits of the earlier row before the first column in which
+    the rows differ (all of them when none does); their ladders then share
     max(k - 1, 0) rungs. The reverse pass repeats the forward junctions
     mirrored, and the turnaround cancels w_last - 1 rungs, so every
     quantity is an integer sum over rows.
 
     Args:
-        terms: TermList (or any iterable of HamiltonianTerm in step order).
+        terms: TermList, applied in row order.
         cost_table: CliffordCostTable overriding the default constants.
 
     Returns:
         CliffordStepCount for a single step.
     """
     table = cost_table or CliffordCostTable()
-    if isinstance(terms, TermList):
-        codes, index = terms.codes, terms.index
-    else:
-        codes, index, _, _ = _columns(tuple(terms))
+    codes, index = terms.codes, terms.index
     m = len(codes)
     if not m:
         return CliffordStepCount(entangling=0, basis_changes=0, rotations=0)
@@ -702,8 +690,8 @@ def export_terms(terms):
 
 
 def parse_terms(text, n_spin_orbitals, n_electrons=0, core_energy=0.0):
-    """Inverse of export_terms; validates classes, finite coefficients and
-    canonical order."""
+    """Inverse of export_terms, keeping the lines' order as the row order;
+    validates classes, finite coefficients and canonical index tuples."""
     terms = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()

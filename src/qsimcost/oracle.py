@@ -595,7 +595,7 @@ def strang_error_scan(terms, ts, particle_sector="auto",
     """TrotterExactReport rows for a grid of step sizes, sharing setup.
 
     At each step size t, builds U(t) = prod_j exp(-i H_j t/2) *
-    prod_reverse_j exp(-i H_j t/2) over the lexicographically ordered terms,
+    prod_reverse_j exp(-i H_j t/2) over the terms in the TermList's row order,
     diagonalizes it, and reads the effective ground energy from the
     eigenphase of the eigenvector with maximal overlap against the exact
     ground state. The constant core energy is excluded from the product (it

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .hamiltonian import TermList, _index_words
+from .hamiltonian import _index_bits
 
 __all__ = [
     "ParParams",
@@ -152,11 +152,9 @@ def simulate_par_factory_time(params, trials=10**6, seed=0):
 
 
 def _support_masks(terms):
-    """Python-int support masks, bit so - 1 for spin orbital so; a TermList's
-    fold its support words together, the most significant first."""
-    if not isinstance(terms, TermList):
-        return [sum(1 << (so - 1) for so in term.support) for term in terms]
-    words = _index_words(terms.index, np.bitwise_or).T.tolist()
+    """Python-int support masks of a TermList's rows, bit so - 1 for spin
+    orbital so: its support words folded, the most significant first."""
+    words = np.bitwise_or.reduce(_index_bits(terms.index), axis=2).tolist()
     masks = words.pop() if words else []
     for word in reversed(words):
         masks = [mask << 64 | w for mask, w in zip(masks, word)]
@@ -166,10 +164,9 @@ def _support_masks(terms):
 def nesting_batches(terms):
     """Greedy consecutive batches of pairwise-disjoint-support terms.
 
-    Terms are processed in the given order; a batch closes as soon as the
-    next term touches a spin orbital already used in the batch. Takes a
-    TermList or any iterable of terms with a support set; returns a list of
-    batch sizes.
+    The TermList's rows are processed in their order; a batch closes as
+    soon as the next term touches a spin orbital already used in the batch.
+    Returns a list of batch sizes.
     """
     masks = _support_masks(terms)
     sizes = []
@@ -191,12 +188,8 @@ def nesting_parallelism(terms):
     orbitals, so sustained parallelism beyond N/2 is an artifact of
     single-orbital terms and is not credited.
     """
-    n_so = getattr(terms, "n_spin_orbitals", None)
-    if n_so is None:
-        terms = tuple(terms)
-        n_so = max((max(t.spin_orbitals) for t in terms), default=2)
     sizes = nesting_batches(terms)
     if not sizes:
         return 1.0
     mean = sum(sizes) / len(sizes)
-    return min(mean, n_so / 2.0)
+    return min(mean, terms.n_spin_orbitals / 2.0)

@@ -143,6 +143,24 @@ def check_epsilon_target(epsilon):
         raise ValueError(f"epsilon target out of range: {epsilon}")
 
 
+# the type of each scalar field when set, and of each item of a list field
+_SCALAR_TYPES = {
+    "structure": str, "fcidump": str, "m_terms": numbers.Real,
+    "n_spin_orbitals": numbers.Real, "beta": numbers.Real, "beta_case": str,
+    "p_inject": numbers.Real, "pe_model": str, "synthesis_model": str,
+    "combination": str,
+}
+_LIST_TYPES = {
+    "epsilon_targets": numbers.Real, "strategies": str,
+    "error_rates": numbers.Real,
+}
+_TYPE_NAMES = {str: "string", numbers.Real: "real number"}
+
+
+def _is_a(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass(frozen=True)
 class Scenario:
     """One reproduction run: an input, targets, strategies, error rates.
@@ -151,7 +169,8 @@ class Scenario:
     (path to an integral file), or the direct triple m_terms /
     n_spin_orbitals / beta. pe_model and synthesis_model default to the
     preset case for structure inputs and to the surrogate/average pair
-    otherwise.
+    otherwise. A field of the wrong type (a bool or string for a number, a
+    scalar for a list) raises a ValueError naming it.
     """
 
     structure: str | None = None
@@ -170,6 +189,21 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in _SCALAR_TYPES.items():
+            value = getattr(self, name)
+            if value is not None and not _is_a(value, kind):
+                raise ValueError(
+                    f"{name} must be a {_TYPE_NAMES[kind]}, got {value!r}"
+                )
+        for name, kind in _LIST_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(
+                _is_a(item, kind) for item in value
+            ):
+                raise ValueError(
+                    f"{name} must be a list of {_TYPE_NAMES[kind]}s, got "
+                    f"{value!r}"
+                )
         object.__setattr__(self, "epsilon_targets", tuple(self.epsilon_targets))
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "error_rates", tuple(self.error_rates))
@@ -206,7 +240,7 @@ class Scenario:
             raise ValueError(f"p_inject out of range: {self.p_inject}")
         if self.combination not in ("worst_case", "variance"):
             raise ValueError(f"unknown combination rule {self.combination!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _is_a(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(
                 f"seed must be a non-negative integer, got {self.seed!r}"
             )

@@ -12,7 +12,7 @@ double-commutator gate
 
 and whose nested commutator [H_a, [H_b, H_c]] is not certified zero by the
 structural vanishing rules below. n_j is the operator-norm weight carried by
-term j. Term order is the lexicographic order of the canonical index tuples.
+term j. Term order is the TermList's row order.
 
 Vanishing rules (conservative: a triple is only dropped when the commutator
 is exactly zero):
@@ -50,7 +50,7 @@ import math
 
 import numpy as np
 
-from .hamiltonian import _DIAGONAL_CODES, TERM_CLASSES, _index_words
+from .hamiltonian import _DIAGONAL_CODES, TERM_CLASSES, _index_bits
 
 __all__ = [
     "ErrorConstantEstimate",
@@ -69,22 +69,22 @@ class _TermArrays:
     """Per-term masks and weights packed for vectorized triple evaluation.
 
     Read from the TermList's columns (class codes, the zero-padded (M, 4)
-    index table and norms). support and hop are (M, W) uint64 word arrays
-    from hamiltonian._index_words, W = ceil(largest index / 64), so a
-    register of any width fits: support ORs the bits of a term's indices;
-    hop XORs them on PQ and PQQR terms, where the shared index of a PQQR
-    cancels and leaves its two hop endpoints, and is zero elsewhere.
+    index table and norms). support and hop are (M, W) uint64 words, W =
+    ceil(largest index / 64), from one hamiltonian._index_bits table: support
+    ORs the bits of a term's indices; hop XORs them on PQ and PQQR terms,
+    where the shared index of a PQQR cancels and leaves its two hop
+    endpoints, and is zero elsewhere.
     """
 
     def __init__(self, terms):
-        codes, index = terms.codes, terms.index
+        codes, bits = terms.codes, _index_bits(terms.index)
         self.m = len(codes)
         self.norm = terms.norms
-        self.support = _index_words(index, np.bitwise_or)
+        self.support = np.bitwise_or.reduce(bits, axis=2).T
         self.diagonal = np.isin(codes, _DIAGONAL_CODES)
         self.hopping = np.isin(codes, _HOPPING_CODES)
         self.hop = np.where(
-            self.hopping[:, None], _index_words(index, np.bitwise_xor),
+            self.hopping[:, None], np.bitwise_xor.reduce(bits, axis=2).T,
             np.uint64(0),
         )
         self.class_code = codes
@@ -241,7 +241,7 @@ def estimate_error_constant(terms, method="exhaustive", samples_per_stratum=200,
     """Estimate the second-order error constant h of a term list.
 
     Args:
-        terms: TermList in canonical order.
+        terms: TermList, applied in row order.
         method: "exhaustive" sums every triple; "stratified" samples each
             class-signature stratum and enumerates strata smaller than the
             per-stratum budget.

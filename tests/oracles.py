@@ -21,7 +21,8 @@ the package's term enumeration, matrix builder, or cost formulas:
   build HamiltonianTerm and TermList objects, read the public jw_chain
   and ladder properties, and score triples with the evaluator's gamma.
   random_canonical_terms draws synthetic term lists of any register width
-  for them.
+  for them, and reordered and step_orders rebuild a list in another step
+  order.
 * the former per-term set-up of the Strang oracle, the reference for its
   action table: one ScalarTermAction per term, built operator by
   operator, the dense matrix assembled one term at a time, the
@@ -445,6 +446,30 @@ def random_canonical_terms(n_spin_orbitals, count, seed):
         terms[idx] = HamiltonianTerm(term_class, idx, coefficient, abs(coefficient))
     ordered = sorted(terms.values(), key=lambda term: term.spin_orbitals)
     return TermList(terms=tuple(ordered), n_spin_orbitals=n_spin_orbitals)
+
+
+def reordered(terms, order):
+    """The TermList of terms' rows taken in the given order."""
+    rows = terms.terms
+    return TermList(
+        terms=tuple(rows[i] for i in order),
+        n_spin_orbitals=terms.n_spin_orbitals,
+        n_electrons=terms.n_electrons,
+        core_energy=terms.core_energy,
+    )
+
+
+def step_orders(terms, seed=0):
+    """Three fixed step orders of a term list's rows, by name: a seeded
+    shuffle, the diagonal (PP and PQQP) terms first with the row order kept
+    inside each block, and the rows reversed."""
+    m = len(terms)
+    diagonal = [t.is_diagonal for t in terms]
+    return {
+        "shuffled": [int(i) for i in np.random.default_rng(seed).permutation(m)],
+        "diagonal-first": sorted(range(m), key=lambda i: not diagonal[i]),
+        "reversed": list(range(m))[::-1],
+    }
 
 
 def scalar_enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):
@@ -913,3 +938,22 @@ def reference_strang_scan(terms, ts, particle_sector="auto",
     """strang_error_scan one reference step size at a time."""
     evaluator = ReferenceStrangEvaluator(terms, particle_sector, split=split)
     return [evaluator.report(float(t)) for t in ts]
+
+
+def assert_rows_match(rows, reference, e_fci_tol=0.0):
+    """Assert that scan rows equal reference_strang_scan rows."""
+    # e_fci_tol > 0 only between different evaluation spaces, whose ground
+    # energies come from different eigh calls
+    assert len(rows) == len(reference)
+    for row, ref in zip(rows, reference):
+        assert row.t == ref.t
+        assert abs(row.e_fci - ref.e_fci) <= e_fci_tol
+        assert row.phase_wrapped == ref.phase_wrapped
+        assert row.empirical_trotter_number == ref.empirical_trotter_number
+        # eigenphases, in radians
+        assert abs(
+            (row.e_effective - row.e_fci) * row.t
+            - (ref.e_effective - ref.e_fci) * ref.t
+        ) <= 1e-13
+        assert abs(row.ground_overlap - ref.ground_overlap) <= 1e-12
+        assert row.unitarity_defect <= 1e-9

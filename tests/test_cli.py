@@ -378,6 +378,19 @@ def test_non_finite_problem_sizes_name_the_field(capsys, argv, field):
     assert "epsilon_total" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("logical", "--m", "1e300", "--beta", "1e300", "--epsilon", "1e-4"),
+    ("report", "--m", "1e300", "--n-spin-orbitals", "4", "--beta", "1e300"),
+])
+def test_overflowing_t_count_names_m_terms_and_beta(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the T count overflows float64 at m_terms=1e+300 and "
+        "beta=1e+300\n"
+    )
+
+
 def test_logical_and_report_share_the_epsilon_range(capsys):
     code, _, logical_err = run(
         capsys, "logical", "--m", "6.1e6", "--beta", "166", "--epsilon", "2",
@@ -572,6 +585,40 @@ def test_report_validation_errors(tmp_path, capsys):
     config.write_text(json.dumps({"structure": "struct-1", "strategies": []}))
     code, _, err = run(capsys, "report", "--config", str(config))
     assert code == 2
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"structure": "struct-1", "epsilon_targets": 0.001},
+     "epsilon_targets must be a list of real numbers, got 0.001"),
+    ({"structure": "struct-1", "epsilon_targets": ["a"]},
+     "epsilon_targets must be a list of real numbers, got ['a']"),
+    ({"structure": "struct-1", "error_rates": [None]},
+     "error_rates must be a list of real numbers, got [None]"),
+    ({"m_terms": 1e6, "n_spin_orbitals": "4", "beta": 100},
+     "n_spin_orbitals must be a real number, got '4'"),
+    ({"structure": "struct-1", "p_inject": "x"},
+     "p_inject must be a real number, got 'x'"),
+    ({"structure": "struct-1", "beta_case": [1]},
+     "beta_case must be a string, got [1]"),
+    ({"structure": "struct-1", "strategies": "serial"},
+     "strategies must be a list of strings, got 'serial'"),
+    # an int path would be opened as a file descriptor; none that is open
+    ({"fcidump": 1 << 20}, "fcidump must be a string, got 1048576"),
+    ({"m_terms": "5", "n_spin_orbitals": 4, "beta": 100},
+     "m_terms must be a real number, got '5'"),
+    ({"structure": "struct-1", "seed": True},
+     "seed must be a non-negative integer, got True"),
+], ids=[
+    "epsilon_targets-scalar", "epsilon_targets-string", "error_rates-null",
+    "n_spin_orbitals-string", "p_inject-string", "beta_case-list",
+    "strategies-string", "fcidump-int", "m_terms-string", "seed-bool",
+])
+def test_report_names_a_config_value_of_the_wrong_type(tmp_path, capsys,
+                                                        config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "report", "--config", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_report_names_an_unknown_beta_case(capsys):

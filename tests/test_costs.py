@@ -350,6 +350,20 @@ def test_optimizer_raises_like_scalar_reference(combination, m, eps, beta):
     assert _budget_or_message(optimize_budget, *args) == want
 
 
+@pytest.mark.parametrize("combination", ["worst_case", "variance"])
+def test_optimizer_blames_an_overflowing_t_count_on_m_terms_and_beta(
+    combination
+):
+    # every split is feasible, but the T count of M = beta = 1e300 is inf
+    with pytest.raises(ValueError, match=(
+        r"^the T count overflows float64 at m_terms=1e\+300 and beta=1e\+300$"
+    )):
+        optimize_budget(1e300, 1e-4, 1e300, PE, SYN, combination)
+    # where even M = beta = 1 has no finite cost, epsilon_total is too small
+    with pytest.raises(ValueError, match="epsilon_total too small"):
+        optimize_budget(M_LARGE, 1e-305, BETA_LARGE, PE, SYN, combination)
+
+
 def test_reference_structure_optimum_within_factor_five():
     # the linear-rule evaluation of the cost formula lands well above the
     # published optimum; the gap stays under a factor of five

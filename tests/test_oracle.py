@@ -26,6 +26,7 @@ from qsimcost import (
 from oracles import (
     ReferenceStrangEvaluator,
     ScalarTermAction,
+    assert_rows_match,
     hamiltonian_from_integrals,
     hf_overlap,
     reference_strang_scan,
@@ -449,24 +450,6 @@ FIXTURE_CHAINS = ("h5p_chain", "h6_chain")
 
 def chain_terms(label):
     return enumerate_terms(parse_fcidump(FIXTURES / f"{label}.fcidump"))
-
-
-def assert_rows_match(rows, reference, e_fci_tol=0.0):
-    # e_fci_tol > 0 only between different evaluation spaces, whose ground
-    # energies come from different eigh calls
-    assert len(rows) == len(reference)
-    for row, ref in zip(rows, reference):
-        assert row.t == ref.t
-        assert abs(row.e_fci - ref.e_fci) <= e_fci_tol
-        assert row.phase_wrapped == ref.phase_wrapped
-        assert row.empirical_trotter_number == ref.empirical_trotter_number
-        # eigenphases, in radians
-        assert abs(
-            (row.e_effective - row.e_fci) * row.t
-            - (ref.e_effective - ref.e_fci) * ref.t
-        ) <= 1e-13
-        assert abs(row.ground_overlap - ref.ground_overlap) <= 1e-12
-        assert row.unitarity_defect <= 1e-9
 
 
 class _NoSecondMix:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import random
@@ -211,28 +212,31 @@ def test_nesting_empty_terms():
 
 
 def test_nesting_all_conflicting():
-    terms = [pq(1, 3), pq(1, 5), pq(1, 7)]
+    terms = TermList(terms=(pq(1, 3), pq(1, 5), pq(1, 7)), n_spin_orbitals=8)
     assert nesting_batches(terms) == [1, 1, 1]
     assert nesting_parallelism(terms) == 1.0
 
 
 def test_nesting_fully_disjoint_reaches_half_register():
     # 6 two-orbital terms tile 12 spin orbitals: one batch, parallelism N/2
-    terms = [pq(2 * k + 1, 2 * k + 2) for k in range(6)]
+    terms = TermList(
+        terms=[pq(2 * k + 1, 2 * k + 2) for k in range(6)], n_spin_orbitals=12
+    )
     assert nesting_batches(terms) == [6]
     assert nesting_parallelism(terms) == 6.0
 
 
 def test_nesting_capped_at_half_register():
     # single-orbital terms would pack N per batch; the cap holds it to N/2
-    terms = [pp(k) for k in range(1, 5)]
+    terms = TermList(terms=[pp(k) for k in range(1, 5)], n_spin_orbitals=4)
     assert nesting_batches(terms) == [4]
     assert nesting_parallelism(terms) == 2.0
 
 
 def test_nesting_batches_respect_order():
     # the conflicting term closes the batch even though later terms would fit
-    terms = [pq(1, 2), pq(3, 4), pq(3, 6), pq(7, 8)]
+    terms = TermList(terms=(pq(1, 2), pq(3, 4), pq(3, 6), pq(7, 8)),
+                     n_spin_orbitals=8)
     assert nesting_batches(terms) == [2, 2]
 
 
@@ -256,9 +260,6 @@ def test_nesting_batches_match_the_support_set_reference(source):
         assert terms.index.max() > 64
     want = scalar_nesting_batches(terms)
     assert nesting_batches(terms) == want
-    # plain iterables of HamiltonianTerm pack from their support sets
-    assert nesting_batches(list(terms)) == want
-    assert nesting_batches(iter(terms)) == want
     assert sum(want) == len(terms)
 
 
@@ -280,16 +281,25 @@ def test_nesting_greedy_is_optimal_interval_packing():
         assert len(sizes) == brute_force_interval_packing(supports)
 
 
+def relabeled(term, label):
+    """term with every spin orbital so renamed label[so], put back in
+    canonical form: each pair ascending, the smaller pair first."""
+    idx = [label[so] for so in term.spin_orbitals]
+    pairs = sorted(sorted(idx[i:i + 2]) for i in range(0, len(idx), 2))
+    return dataclasses.replace(term, spin_orbitals=sum(map(tuple, pairs), ()))
+
+
 def test_nesting_relabeling_invariance():
     terms = enumerate_terms(load_molecule("h2_stretched"))
     n_so = terms.n_spin_orbitals
     perm = {old: new for new, old in enumerate(random.Random(3).sample(range(1, n_so + 1), n_so), start=1)}
-
-    class Stub:
-        def __init__(self, support):
-            self.support = frozenset(support)
-            self.spin_orbitals = tuple(sorted(self.support))
-
-    relabeled = [Stub(perm[so] for so in t.support) for t in terms]
-    assert nesting_batches(relabeled) == nesting_batches(terms)
-    assert nesting_parallelism(relabeled) == pytest.approx(nesting_parallelism(terms))
+    relabeled_terms = TermList(
+        terms=[relabeled(t, perm) for t in terms], n_spin_orbitals=n_so
+    )
+    assert [t.support for t in relabeled_terms] == [
+        frozenset(perm[so] for so in t.support) for t in terms
+    ]
+    assert nesting_batches(relabeled_terms) == nesting_batches(terms)
+    assert nesting_parallelism(relabeled_terms) == pytest.approx(
+        nesting_parallelism(terms)
+    )

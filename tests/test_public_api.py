@@ -72,7 +72,11 @@ def test_public_surface_is_the_layer_exports():
     ):
         for attribute in attributes:
             assert not hasattr(owner, attribute), f"{owner.__name__}.{attribute}"
+    # the row order is the step order; no label names it
+    terms = qsimcost.enumerate_terms(qsimcost.load_molecule("h2_sto3g"))
+    assert not hasattr(terms, "ordering")
     for function, parameter in (
+        (TermList, "ordering"),
         (qsimcost.build_matrix, "include_core"),
         (qsimcost.hartree_fock_overlap, "degeneracy_tol"),
         (qsimcost.costs.approx_optimal_budget, "grid"),
