@@ -400,6 +400,8 @@ def approx_optimal_budget(m_terms, epsilon_total, beta, pe, synth,
     decreasing in every component. Returns None if the seed fails
     ErrorBudget validation.
     """
+    if epsilon_total * 1e-9 == 0:  # the seed axis would start at 0
+        raise ValueError("no feasible budget found; epsilon_total too small")
     axis = np.geomspace(epsilon_total * 1e-9, epsilon_total * (1.0 - 1e-9),
                         120)
     if combination == "worst_case":

@@ -166,41 +166,6 @@ class HamiltonianTerm:
                 "does not follow the annihilation pair"
             )
 
-    @property
-    def support(self):
-        """Distinct spin orbitals the term acts on (no string interiors)."""
-        return frozenset(self.spin_orbitals)
-
-    @property
-    def is_diagonal(self):
-        """Diagonal terms commute with every occupation-number operator."""
-        return self.term_class in ("PP", "PQQP")
-
-    @property
-    def is_one_body(self):
-        return len(self.spin_orbitals) <= 2
-
-    @property
-    def jw_chain(self):
-        """Qubits of the term's Jordan-Wigner string, parity chain included.
-
-        With the indices in ascending order the chain is the union of two
-        closed ranges: [p, q] twice for a one-body term, and [w1, w2] and
-        [w3, w4] for the four indices w1 <= w2 <= w3 <= w4 of a two-body
-        term. That is the support for diagonal terms, the range between
-        the endpoints (plus the shared index) for hopping terms, and one
-        segment per creation/annihilation pairing for PQRS.
-        """
-        idx = self.spin_orbitals
-        w1, w2, w3, w4 = (idx[0], idx[-1]) * 2 if self.is_one_body else sorted(idx)
-        return tuple(sorted({*range(w1, w2 + 1), *range(w3, w4 + 1)}))
-
-    @property
-    def ladder(self):
-        """CNOT ladder as consecutive qubit pairs along the string chain."""
-        chain = self.jw_chain
-        return tuple(zip(chain[:-1], chain[1:]))
-
 
 class TermList:
     """Hermitian-merged term list; its row order is the step order.
@@ -627,10 +592,10 @@ def clifford_count_per_step(terms, cost_table=None):
     of the forward-plus-reverse sequence (the turnaround repeats the last
     term, so its ladder cancels completely).
 
-    Closed form: each term's chain (HamiltonianTerm.jw_chain) is a row of
-    a boolean membership matrix built from two index ranges per term, read
-    off the TermList's class codes and index table, and its width w is the
-    row sum. Two consecutive chains agree on their first k qubits, where k
+    Closed form: each term's chain (the qubits of its Jordan-Wigner
+    string, parity chain included) is a row of a boolean membership matrix
+    built from two index ranges per term, read off the TermList's class
+    codes and index table, and its width w is the row sum. Two consecutive chains agree on their first k qubits, where k
     counts the set bits of the earlier row before the first column in which
     the rows differ (all of them when none does); their ladders then share
     max(k - 1, 0) rungs. The reverse pass repeats the forward junctions

@@ -7,7 +7,11 @@ optimizes the error budget per target, derives per-strategy logical
 reports, layers fault-tolerance reports on top, and returns a bundle in
 which every number carries a provenance tag: "reference" for published
 anchor values, "calibrated" for fitted model constants, "computed" for
-pipeline outputs, "input" for caller choices.
+pipeline outputs, "input" for caller choices. The resolved inputs (term
+count, register width, beta, nesting parallelism, PAR parameters) take one
+tag per input mode: "reference" for a structure preset, "computed" for an
+FCIDUMP file, and "input" for the direct triple, whose parallelism and PAR
+parameters are "calibrated" defaults.
 
 The module also owns the report layouts shared by emit and the CLI: the
 logical markdown table (logical_table), the fault-tolerance table
@@ -286,87 +290,66 @@ def _resolved_models(scenario, presets):
     return PhaseEstimationModel.preset(pe_name), SynthesisModel.preset(synth_name)
 
 
+@dataclasses.dataclass(frozen=True)
+class _Inputs:
+    """A scenario's models, problem size, Trotter numbers and strategy
+    inputs, with the provenance tag of its input mode: source for the
+    problem size and beta, strategy_source for the parallelism and PAR
+    parameters."""
+
+    label: str
+    source: str
+    pe: PhaseEstimationModel
+    synth: SynthesisModel
+    m_terms: float
+    n_spin_orbitals: int
+    beta_of: object
+    parallelism: float
+    par_params: ParParams
+    clifford_per_step: object = None
+    h_bound: dict | None = None  # the finished parameter entry
+
+    @property
+    def strategy_source(self):
+        return "calibrated" if self.source == "input" else self.source
+
+    def strategy_kwargs(self, strategy):
+        return {"nesting": {"parallelism": self.parallelism},
+                "par": {"par_params": self.par_params}}.get(strategy, {})
+
+
 def _resolve(scenario, presets):
-    """Problem size, Trotter constant, and strategy inputs for a scenario."""
-    pe, synth = _resolved_models(scenario, presets)
+    """The _Inputs of a scenario, from its one input mode."""
+    models = _resolved_models(scenario, presets)
     if scenario.structure is not None:
         entry = _structure_entry(scenario.structure, presets)
         beta = float(entry["beta"][scenario.beta_case])
-        return {
-            "label": entry["label"],
-            "m_terms": float(entry["m_terms"]),
-            "n_spin_orbitals": int(entry["n_spin_orbitals"]),
-            "beta_of": lambda eps: beta,
-            "parallelism": float(entry["nesting_parallelism"]),
-            "par_params": ParParams(**entry["par"]),
-            "clifford_per_step": None,
-            "provenance": {
-                "m_terms": "reference",
-                "n_spin_orbitals": "reference",
-                "beta": "reference",
-                "parallelism": "reference",
-                "par_params": "reference",
-            },
-            "pe": pe,
-            "synth": synth,
-        }
+        return _Inputs(
+            entry["label"], "reference", *models, float(entry["m_terms"]),
+            int(entry["n_spin_orbitals"]), lambda eps: beta,
+            float(entry["nesting_parallelism"]), ParParams(**entry["par"]),
+        )
     if scenario.fcidump is not None:
-        table = parse_fcidump(scenario.fcidump)
-        terms = enumerate_terms(table)
+        terms = enumerate_terms(parse_fcidump(scenario.fcidump))
         method = (
             "exhaustive" if len(terms) <= _EXHAUSTIVE_TERM_CAP else "stratified"
         )
-        estimate = estimate_error_constant(
+        h_bound = estimate_error_constant(
             terms, method=method, seed=scenario.seed
+        ).value
+        return _Inputs(
+            scenario.fcidump, "computed", *models, float(len(terms)),
+            int(terms.n_spin_orbitals), lambda eps: math.sqrt(h_bound / eps),
+            max(1.0, nesting_parallelism(terms)), ParParams(9, 1, 0),
+            clifford_per_step=clifford_count_per_step(terms),
+            h_bound={"value": h_bound, "provenance": "computed",
+                     "method": method},
         )
-        h_bound = estimate.value
-        return {
-            "label": scenario.fcidump,
-            "m_terms": float(len(terms)),
-            "n_spin_orbitals": int(terms.n_spin_orbitals),
-            "beta_of": lambda eps: math.sqrt(h_bound / eps),
-            "parallelism": max(1.0, nesting_parallelism(terms)),
-            "par_params": ParParams(9, 1, 0),
-            "clifford_per_step": clifford_count_per_step(terms),
-            "provenance": {
-                "m_terms": "computed",
-                "n_spin_orbitals": "computed",
-                "beta": "computed",
-                "parallelism": "computed",
-                "par_params": "computed",
-                "h_bound": "computed",
-            },
-            "h_bound": h_bound,
-            "h_bound_method": method,
-            "pe": pe,
-            "synth": synth,
-        }
-    return {
-        "label": "direct input",
-        "m_terms": float(scenario.m_terms),
-        "n_spin_orbitals": int(scenario.n_spin_orbitals),
-        "beta_of": lambda eps: float(scenario.beta),
-        "parallelism": max(1.0, scenario.n_spin_orbitals / 4.0),
-        "par_params": ParParams(9, 1, 0),
-        "clifford_per_step": None,
-        "provenance": {
-            "m_terms": "input",
-            "n_spin_orbitals": "input",
-            "beta": "input",
-            "parallelism": "calibrated",
-            "par_params": "calibrated",
-        },
-        "pe": pe,
-        "synth": synth,
-    }
-
-
-def _strategy_kwargs(resolved, strategy):
-    if strategy == "nesting":
-        return {"parallelism": resolved["parallelism"]}
-    if strategy == "par":
-        return {"par_params": resolved["par_params"]}
-    return {}
+    return _Inputs(
+        "direct input", "input", *models, float(scenario.m_terms),
+        int(scenario.n_spin_orbitals), lambda eps: float(scenario.beta),
+        max(1.0, scenario.n_spin_orbitals / 4.0), ParParams(9, 1, 0),
+    )
 
 
 def reference_logical_report(structure, strategy, epsilon=1e-4, presets=None):
@@ -470,43 +453,40 @@ def reference_physical_report(structure, strategy, layout, p_clifford,
 def run_scenario(scenario, presets=None):
     """Run the full grid of a scenario and assemble a deterministic bundle.
 
-    The error budget of each epsilon target is optimized first, then the
-    logical report of each (epsilon, strategy) cell is derived, then the
-    fault-tolerance report of each cell at each error rate, all in grid
-    order. Results are deterministic given the scenario seed.
+    The error budget of each epsilon target is optimized first. Then each
+    target's cost is evaluated once and every strategy's logical report is
+    derived from it, then the fault-tolerance report of each cell at each
+    error rate, all in grid order. Results are deterministic given the
+    scenario seed.
     """
     presets = presets if presets is not None else load_presets()
-    resolved = _resolve(scenario, presets)
-    pe, synth = resolved["pe"], resolved["synth"]
+    inputs = _resolve(scenario, presets)
     t_gate_time = float(presets["t_gate_time_seconds"])
-    budgets = {
-        eps: optimize_budget(
-            resolved["m_terms"], eps, resolved["beta_of"](eps), pe, synth,
+    epsilons = scenario.epsilon_targets
+    budgets = [
+        optimize_budget(
+            inputs.m_terms, eps, inputs.beta_of(eps), inputs.pe, inputs.synth,
             combination=scenario.combination,
         )
-        for eps in scenario.epsilon_targets
-    }
-    cells = [
-        (eps, strategy)
-        for eps in scenario.epsilon_targets
-        for strategy in scenario.strategies
+        for eps in epsilons
     ]
-    logicals = {}
-    for eps, strategy in cells:
+    cells = []
+    for eps, budget in zip(epsilons, budgets):
         base = evaluate_cost(
-            resolved["m_terms"], budgets[eps], resolved["beta_of"](eps),
-            pe, synth, n_spin_orbitals=resolved["n_spin_orbitals"],
-            clifford_per_step=resolved["clifford_per_step"],
-            t_gate_time=t_gate_time,
+            inputs.m_terms, budget, inputs.beta_of(eps), inputs.pe,
+            inputs.synth, n_spin_orbitals=inputs.n_spin_orbitals,
+            clifford_per_step=inputs.clifford_per_step, t_gate_time=t_gate_time,
         )
-        logicals[eps, strategy] = strategy_report(
-            base, strategy, n_spin_orbitals=resolved["n_spin_orbitals"],
-            clifford_per_step=resolved["clifford_per_step"],
-            **_strategy_kwargs(resolved, strategy),
-        )
+        cells += [
+            (eps, strategy, strategy_report(
+                base, strategy, n_spin_orbitals=inputs.n_spin_orbitals,
+                clifford_per_step=inputs.clifford_per_step,
+                **inputs.strategy_kwargs(strategy),
+            ))
+            for strategy in scenario.strategies
+        ]
     points = []
-    for eps, strategy in cells:
-        logical = logicals[eps, strategy]
+    for eps, strategy, logical in cells:
         for rate in scenario.error_rates or (None,):
             physical = None if rate is None else physical_report(
                 logical, FTParams(p_clifford=rate, p_inject=scenario.p_inject)
@@ -515,35 +495,21 @@ def run_scenario(scenario, presets=None):
     warnings = tuple(w for w, _, _ in t_count_gaps(scenario, points, presets))
 
     parameters = {
-        "m_terms": {
-            "value": resolved["m_terms"],
-            "provenance": resolved["provenance"]["m_terms"],
-        },
-        "n_spin_orbitals": {
-            "value": resolved["n_spin_orbitals"],
-            "provenance": resolved["provenance"]["n_spin_orbitals"],
-        },
-        "beta": {
-            "value": {
-                eps_key(eps): resolved["beta_of"](eps)
-                for eps in scenario.epsilon_targets
-            },
-            "provenance": resolved["provenance"]["beta"],
-        },
-        "nesting_parallelism": {
-            "value": resolved["parallelism"],
-            "provenance": resolved["provenance"]["parallelism"],
-        },
-        "pe_model": {"value": pe.name, "provenance": "input"},
-        "synthesis_model": {"value": synth.name, "provenance": "input"},
-        "seed": {"value": scenario.seed, "provenance": "input"},
+        name: {"value": value, "provenance": tag}
+        for name, value, tag in (
+            ("m_terms", inputs.m_terms, inputs.source),
+            ("n_spin_orbitals", inputs.n_spin_orbitals, inputs.source),
+            ("beta", {eps_key(eps): inputs.beta_of(eps) for eps in epsilons},
+             inputs.source),
+            ("nesting_parallelism", inputs.parallelism,
+             inputs.strategy_source),
+            ("pe_model", inputs.pe.name, "input"),
+            ("synthesis_model", inputs.synth.name, "input"),
+            ("seed", scenario.seed, "input"),
+        )
     }
-    if "h_bound" in resolved:
-        parameters["h_bound"] = {
-            "value": resolved["h_bound"],
-            "provenance": "computed",
-            "method": resolved["h_bound_method"],
-        }
+    if inputs.h_bound is not None:
+        parameters["h_bound"] = inputs.h_bound
 
     constants = {
         "t_gate_time_seconds": {
@@ -573,13 +539,10 @@ def run_scenario(scenario, presets=None):
         "epsilon1_pe": "computed",
         "epsilon2_trotter": "computed",
         "epsilon3_synth": "computed",
-        "alpha": "reference",
-        "gamma": "reference",
-        "delta": "reference",
-        "n_levels": resolved["provenance"]["par_params"],
-        "rotations_cached": resolved["provenance"]["par_params"],
-        "synthesis_cost": resolved["provenance"]["par_params"],
-        "parallelism": resolved["provenance"]["parallelism"],
+        "n_levels": inputs.strategy_source,
+        "rotations_cached": inputs.strategy_source,
+        "synthesis_cost": inputs.strategy_source,
+        "parallelism": inputs.strategy_source,
         "t_gate_time": "reference",
         "p_clifford": "input",
         "p_inject": "input",
@@ -592,15 +555,13 @@ def run_scenario(scenario, presets=None):
         "per_t_error_target": "computed",
         "per_operation_error_target": "computed",
         "t_rate": "computed",
-        "m_terms": resolved["provenance"]["m_terms"],
-        "n_spin_orbitals": resolved["provenance"]["n_spin_orbitals"],
-        "trotter_steps_per_unit_time": "computed",
-        "pe_repetitions": "computed",
+        "m_terms": inputs.source,
+        "n_spin_orbitals": inputs.source,
     })
 
     return ScenarioBundle(
         scenario=scenario,
-        label=resolved["label"],
+        label=inputs.label,
         parameters=parameters,
         points=tuple(points),
         warnings=warnings,

@@ -292,17 +292,13 @@ class PhysicalCostReport:
     params: FTParams
 
 
-def physical_report(logical, params, processor_logical_qubits=None):
+def physical_report(logical, params):
     """Assemble the three physical blocks for a logical cost report.
 
     Args:
         logical: LogicalCostReport with positive t_count and wall_time and
             a logical_qubits count.
         params: FTParams.
-        processor_logical_qubits: override for the processor block's
-            logical qubit count. By default the rotation-factory logical
-            qubits are subtracted from the report's total, since they are
-            charged to the rotation block.
 
     Returns:
         PhysicalCostReport; the total is the exact three-block sum.
@@ -310,10 +306,10 @@ def physical_report(logical, params, processor_logical_qubits=None):
     if logical.t_count <= 0 or logical.wall_time <= 0:
         raise ValueError("logical report must have positive t_count and wall_time")
     factories = rotation_factory_count(logical)
-    if processor_logical_qubits is None:
-        if logical.logical_qubits is None:
-            raise ValueError("logical report carries no qubit count")
-        processor_logical_qubits = logical.logical_qubits - factories
+    if logical.logical_qubits is None:
+        raise ValueError("logical report carries no qubit count")
+    # the rotation-factory logical qubits are charged to the rotation block
+    processor_logical_qubits = logical.logical_qubits - factories
     if processor_logical_qubits < 1:
         raise ValueError(
             f"nonpositive processor register: {processor_logical_qubits}"

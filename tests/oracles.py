@@ -18,8 +18,10 @@ the package's term enumeration, matrix builder, or cost formulas:
   jw_chain ladders, the scalar vanishing rules and the mask packing loop
   of the triple evaluator, the per-stratum sampling loop and the nesting
   packer over support sets. These also lean on the package: they
-  build HamiltonianTerm and TermList objects, read the public jw_chain
-  and ladder properties, and score triples with the evaluator's gamma.
+  build HamiltonianTerm and TermList objects and score triples with the
+  evaluator's gamma. The per-term helpers they read (term_support,
+  is_diagonal, is_one_body, jw_chain, ladder) are written here from the
+  canonical index tuple; the package reads the same facts off its arrays.
   random_canonical_terms draws synthetic term lists of any register width
   for them, and reordered and step_orders rebuild a list in another step
   order.
@@ -376,6 +378,41 @@ def scalar_optimize_budget(m_terms, epsilon_total, beta, pe, synth,
 # Scalar term path (enumeration, Clifford count, mask packing, stratified h)
 # ---------------------------------------------------------------------------
 
+def term_support(term):
+    """Distinct spin orbitals a term acts on (no string interiors)."""
+    return frozenset(term.spin_orbitals)
+
+
+def is_diagonal(term):
+    """Diagonal terms commute with every occupation-number operator."""
+    return term.term_class in ("PP", "PQQP")
+
+
+def is_one_body(term):
+    return len(term.spin_orbitals) <= 2
+
+
+def jw_chain(term):
+    """Qubits of a term's Jordan-Wigner string, parity chain included.
+
+    With the indices in ascending order the chain is the union of two
+    closed ranges: [p, q] twice for a one-body term, and [w1, w2] and
+    [w3, w4] for the four indices w1 <= w2 <= w3 <= w4 of a two-body term.
+    That is the support for diagonal terms, the range between the
+    endpoints (plus the shared index) for hopping terms, and one segment
+    per creation/annihilation pairing for PQRS.
+    """
+    idx = term.spin_orbitals
+    w1, w2, w3, w4 = (idx[0], idx[-1]) * 2 if is_one_body(term) else sorted(idx)
+    return tuple(sorted({*range(w1, w2 + 1), *range(w3, w4 + 1)}))
+
+
+def ladder(term):
+    """CNOT ladder as consecutive qubit pairs along the string chain."""
+    chain = jw_chain(term)
+    return tuple(zip(chain[:-1], chain[1:]))
+
+
 def _spatial(so):
     """Spatial orbital (1-based) owning spin orbital so (1-based)."""
     return (so + 1) // 2
@@ -464,7 +501,7 @@ def step_orders(terms, seed=0):
     shuffle, the diagonal (PP and PQQP) terms first with the row order kept
     inside each block, and the rows reversed."""
     m = len(terms)
-    diagonal = [t.is_diagonal for t in terms]
+    diagonal = [is_diagonal(t) for t in terms]
     return {
         "shuffled": [int(i) for i in np.random.default_rng(seed).permutation(m)],
         "diagonal-first": sorted(range(m), key=lambda i: not diagonal[i]),
@@ -562,16 +599,16 @@ def scalar_clifford_count_per_step(terms, cost_table=None):
     entangling = 0
     basis = 0
     for term in sequence:
-        w = len(term.jw_chain)
+        w = len(jw_chain(term))
         entangling += table.entangling_per_rung * (w - 1)
-        if term.is_diagonal:
+        if is_diagonal(term):
             basis += table.diagonal_basis_changes * w
         else:
             basis += table.basis_changes_per_qubit * w
     if table.cancel_adjacent_ladders:
         for prev, cur in zip(sequence[:-1], sequence[1:]):
             entangling -= table.entangling_per_rung * _ladder_common_prefix(
-                prev.ladder, cur.ladder
+                ladder(prev), ladder(cur)
             )
     return CliffordStepCount(
         entangling=entangling,
@@ -601,9 +638,9 @@ def hop_endpoints(term):
 
 def commutator_vanishes(term_b, term_c):
     """True when [H_b, H_c] = 0 is certified by rules 1, 3, or 4."""
-    if not (term_b.support & term_c.support):
+    if not (term_support(term_b) & term_support(term_c)):
         return True
-    if term_b.is_diagonal and term_c.is_diagonal:
+    if is_diagonal(term_b) and is_diagonal(term_c):
         return True
     hopping = ("PQ", "PQQR")
     return (
@@ -617,7 +654,9 @@ def outer_vanishes(term_a, term_b, term_c):
     """Rules 1-4 on [H_a, [H_b, H_c]] without the Jacobi rearrangement."""
     if commutator_vanishes(term_b, term_c):
         return True
-    return not (term_a.support & (term_b.support | term_c.support))
+    return not (
+        term_support(term_a) & (term_support(term_b) | term_support(term_c))
+    )
 
 
 def nested_commutator_vanishes(term_a, term_b, term_c):
@@ -634,7 +673,7 @@ def scalar_term_arrays(terms):
     support and hop are (m, W) uint64 words, W = ceil(largest index / 64),
     spin orbital so setting bit (so - 1) % 64 of word (so - 1) // 64."""
     m = len(terms)
-    width = -(-max((max(t.support) for t in terms), default=0) // 64)
+    width = -(-max((max(t.spin_orbitals) for t in terms), default=0) // 64)
     arrays = types.SimpleNamespace(m=m)
     arrays.norm = np.array([t.norm for t in terms], dtype=float)
     arrays.support = np.zeros((m, width), dtype=np.uint64)
@@ -649,8 +688,8 @@ def scalar_term_arrays(terms):
             row[(so - 1) // 64] |= np.uint64(1) << np.uint64((so - 1) % 64)
 
     for i, t in enumerate(terms):
-        set_bits(arrays.support[i], t.support)
-        arrays.diagonal[i] = t.is_diagonal
+        set_bits(arrays.support[i], term_support(t))
+        arrays.diagonal[i] = is_diagonal(t)
         arrays.class_code[i] = class_index[t.term_class]
         if t.term_class in ("PQ", "PQQR"):
             arrays.hopping[i] = True
@@ -702,7 +741,7 @@ def scalar_nesting_batches(terms):
     used = set()
     current = 0
     for term in terms:
-        support = term.support
+        support = term_support(term)
         if used & support:
             sizes.append(current)
             used = set()
@@ -737,7 +776,7 @@ class ScalarTermAction:
             state = state ^ bit
         src = np.nonzero(alive)[0]
         tgt_states = state[src]
-        if term.is_diagonal:
+        if is_diagonal(term):
             if not np.array_equal(tgt_states, states[src]):
                 raise AssertionError("diagonal term moved a basis state")
             diag = np.zeros(len(states))

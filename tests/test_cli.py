@@ -391,6 +391,19 @@ def test_overflowing_t_count_names_m_terms_and_beta(capsys, argv):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ("logical", "--m", "6.1e6", "--beta", "166", "--epsilon", "1e-320"),
+    ("report", "--m", "6.1e6", "--n-spin-orbitals", "108", "--beta", "166",
+     "--epsilons", "1e-320"),
+])
+def test_subnormal_epsilon_is_too_small_for_a_budget(capsys, argv):
+    # a billionth of 1e-320 underflows to 0, where the optimizer's seed grid
+    # starts; the message blames epsilon_total, not the grid
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: no feasible budget found; epsilon_total too small\n"
+
+
 def test_logical_and_report_share_the_epsilon_range(capsys):
     code, _, logical_err = run(
         capsys, "logical", "--m", "6.1e6", "--beta", "166", "--epsilon", "2",

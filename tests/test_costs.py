@@ -359,9 +359,12 @@ def test_optimizer_blames_an_overflowing_t_count_on_m_terms_and_beta(
         r"^the T count overflows float64 at m_terms=1e\+300 and beta=1e\+300$"
     )):
         optimize_budget(1e300, 1e-4, 1e300, PE, SYN, combination)
-    # where even M = beta = 1 has no finite cost, epsilon_total is too small
-    with pytest.raises(ValueError, match="epsilon_total too small"):
-        optimize_budget(M_LARGE, 1e-305, BETA_LARGE, PE, SYN, combination)
+    # where even M = beta = 1 has no finite cost, epsilon_total is too small,
+    # also where a billionth of it underflows to 0
+    for epsilon_total in (1e-305, 1e-320):
+        with pytest.raises(ValueError, match="epsilon_total too small"):
+            optimize_budget(M_LARGE, epsilon_total, BETA_LARGE, PE, SYN,
+                            combination)
 
 
 def test_reference_structure_optimum_within_factor_five():

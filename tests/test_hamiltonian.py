@@ -23,6 +23,9 @@ from qsimcost import (
 from qsimcost.hamiltonian import TERM_CLASSES
 
 from oracles import (
+    is_diagonal,
+    is_one_body,
+    jw_chain,
     monomial_pairs,
     random_canonical_terms,
     reordered,
@@ -66,7 +69,7 @@ def random_table(n, seed, n_electrons=None):
 def unmerged_count(terms):
     """Terms with both members of each conjugate pair counted: a
     self-adjoint term (PP, PQQP) once, an off-diagonal one twice."""
-    return sum(1 if t.is_diagonal else 2 for t in terms)
+    return sum(1 if is_diagonal(t) else 2 for t in terms)
 
 
 def spin(so):
@@ -292,7 +295,7 @@ def test_terms_are_lexicographically_sorted_and_merged():
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     for t in terms:
-        if not t.is_one_body:
+        if not is_one_body(t):
             creation, annihilation = monomial_pairs(t)
             assert creation <= annihilation
             assert creation[0] < creation[1]
@@ -426,14 +429,14 @@ def test_term_list_rejects_out_of_register_terms():
 # ---------------------------------------------------------------------------
 
 def test_jw_chain_shapes():
-    assert HamiltonianTerm("PP", (3,), 1.0, 1.0).jw_chain == (3,)
-    assert HamiltonianTerm("PQ", (2, 5), 1.0, 1.0).jw_chain == (2, 3, 4, 5)
-    assert HamiltonianTerm("PQQP", (2, 5, 2, 5), 1.0, 1.0).jw_chain == (2, 5)
+    assert jw_chain(HamiltonianTerm("PP", (3,), 1.0, 1.0)) == (3,)
+    assert jw_chain(HamiltonianTerm("PQ", (2, 5), 1.0, 1.0)) == (2, 3, 4, 5)
+    assert jw_chain(HamiltonianTerm("PQQP", (2, 5, 2, 5), 1.0, 1.0)) == (2, 5)
     # hop 1 -> 4 with the shared number index inside the span
-    assert HamiltonianTerm("PQQR", (1, 3, 3, 4), 1.0, 1.0).jw_chain == (1, 2, 3, 4)
+    assert jw_chain(HamiltonianTerm("PQQR", (1, 3, 3, 4), 1.0, 1.0)) == (1, 2, 3, 4)
     # shared number index outside the hop span joins the chain as a point
-    assert HamiltonianTerm("PQQR", (1, 3, 1, 5), 1.0, 1.0).jw_chain == (1, 3, 4, 5)
-    assert HamiltonianTerm("PQRS", (1, 2, 5, 7), 1.0, 1.0).jw_chain == (1, 2, 5, 6, 7)
+    assert jw_chain(HamiltonianTerm("PQQR", (1, 3, 1, 5), 1.0, 1.0)) == (1, 3, 4, 5)
+    assert jw_chain(HamiltonianTerm("PQRS", (1, 2, 5, 7), 1.0, 1.0)) == (1, 2, 5, 6, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +454,9 @@ def simulate_gate_list(sequence, cost_table):
     gates = []
     basis = 0
     for term in sequence:
-        chain = term.jw_chain
+        chain = jw_chain(term)
         rungs = list(zip(chain[:-1], chain[1:]))
-        if term.is_diagonal:
+        if is_diagonal(term):
             basis += cost_table.diagonal_basis_changes * len(chain)
         else:
             basis += cost_table.basis_changes_per_qubit * len(chain)
@@ -543,7 +546,7 @@ def test_clifford_count_has_no_orbital_cap():
                 list(sequence) + list(sequence)[::-1], cost
             )
             assert (step.entangling, step.basis_changes) == (entangling, basis)
-    assert max(max(t.jw_chain) for t in terms) > 64
+    assert max(max(jw_chain(t)) for t in terms) > 64
 
 
 def test_clifford_single_hop_term_by_hand():

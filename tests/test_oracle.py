@@ -29,6 +29,7 @@ from oracles import (
     assert_rows_match,
     hamiltonian_from_integrals,
     hf_overlap,
+    is_diagonal,
     reference_strang_scan,
     scalar_build_matrix,
     scalar_sz_blocks,
@@ -706,7 +707,7 @@ def edge_lists():
         "empty": TermList(terms=(), n_spin_orbitals=4, n_electrons=2,
                           core_energy=0.5),
         "diagonal_only": TermList(
-            terms=[t for t in h4 if t.is_diagonal], n_spin_orbitals=8,
+            terms=[t for t in h4 if is_diagonal(t)], n_spin_orbitals=8,
             n_electrons=4, core_energy=h4.core_energy,
         ),
         "spin_flip": spin_flip_terms(),

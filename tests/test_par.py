@@ -28,6 +28,7 @@ from oracles import (
     brute_force_interval_packing,
     random_canonical_terms,
     scalar_nesting_batches,
+    term_support,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -276,7 +277,7 @@ def test_nesting_greedy_is_optimal_interval_packing():
                 b = rng.randint(1, 20)
             supports.append(frozenset((a, b)))
         sizes = scalar_nesting_batches(
-            types.SimpleNamespace(support=s) for s in supports
+            types.SimpleNamespace(spin_orbitals=tuple(s)) for s in supports
         )
         assert len(sizes) == brute_force_interval_packing(supports)
 
@@ -296,8 +297,8 @@ def test_nesting_relabeling_invariance():
     relabeled_terms = TermList(
         terms=[relabeled(t, perm) for t in terms], n_spin_orbitals=n_so
     )
-    assert [t.support for t in relabeled_terms] == [
-        frozenset(perm[so] for so in t.support) for t in terms
+    assert [term_support(t) for t in relabeled_terms] == [
+        frozenset(perm[so] for so in term_support(t)) for t in terms
     ]
     assert nesting_batches(relabeled_terms) == nesting_batches(terms)
     assert nesting_parallelism(relabeled_terms) == pytest.approx(

@@ -61,7 +61,8 @@ def test_public_surface_is_the_layer_exports():
     for owner, attributes in (
         (HamiltonianTerm, (
             "number_indices", "sort_key", "hop_endpoints", "creation",
-            "annihilation",
+            "annihilation", "support", "is_diagonal", "is_one_body",
+            "jw_chain", "ladder",
         )),
         (IntegralTable, ("check_symmetry",)),
         (TermList, ("m_unmerged",)),
@@ -80,6 +81,7 @@ def test_public_surface_is_the_layer_exports():
         (qsimcost.build_matrix, "include_core"),
         (qsimcost.hartree_fock_overlap, "degeneracy_tol"),
         (qsimcost.costs.approx_optimal_budget, "grid"),
+        (qsimcost.physical_report, "processor_logical_qubits"),
     ):
         assert parameter not in inspect.signature(function).parameters, parameter
 

@@ -1,3 +1,5 @@
+import collections
+import importlib.resources
 import json
 
 import pytest
@@ -12,10 +14,12 @@ from qsimcost import (
     reference_logical_report,
     run_scenario,
 )
+from qsimcost import scenarios
 from qsimcost.par import par_factory_time_per_rotation
 from qsimcost.scenarios import eps_key
 
 PRESETS = load_presets()
+H2 = importlib.resources.files("qsimcost.data").joinpath("h2_sto3g.fcidump")
 
 
 def test_presets_shape():
@@ -276,3 +280,80 @@ def test_direct_scenario_matches_documented_cost_point():
     assert point.logical.t_count < 7.5e14
     assert bundle.parameters["beta"]["value"]["1e-04"] == 100.0
     assert bundle.parameters["m_terms"]["provenance"] == "input"
+
+
+# the field_provenance tags that follow the input mode; every other tag is
+# the same for all three modes
+MODE_FIELDS = (
+    "m_terms", "n_spin_orbitals", "parallelism", "n_levels",
+    "rotations_cached", "synthesis_cost",
+)
+
+
+@pytest.mark.parametrize("inputs, size, strategy_inputs", [
+    ({"structure": "struct-1"}, "reference", "reference"),
+    ({"fcidump": str(H2)}, "computed", "computed"),
+    ({"m_terms": 1e6, "n_spin_orbitals": 50, "beta": 100.0}, "input",
+     "calibrated"),
+], ids=["structure", "fcidump", "direct"])
+def test_provenance_follows_the_input_mode(inputs, size, strategy_inputs):
+    bundle = run_scenario(Scenario(**inputs), PRESETS)
+    tags = {name: entry["provenance"]
+            for name, entry in bundle.parameters.items()}
+    want = {
+        "m_terms": size, "n_spin_orbitals": size, "beta": size,
+        "nesting_parallelism": strategy_inputs, "pe_model": "input",
+        "synthesis_model": "input", "seed": "input",
+    }
+    if "fcidump" in inputs:
+        want["h_bound"] = "computed"
+        assert bundle.parameters["h_bound"]["method"] == "exhaustive"
+    assert tags == want
+    fields = bundle.field_provenance
+    assert {name: fields[name] for name in MODE_FIELDS} == {
+        "m_terms": size, "n_spin_orbitals": size, "parallelism": strategy_inputs,
+        "n_levels": strategy_inputs, "rotations_cached": strategy_inputs,
+        "synthesis_cost": strategy_inputs,
+    }
+    fixed = run_scenario(Scenario(structure="struct-2"), PRESETS).field_provenance
+    assert {k: v for k, v in fields.items() if k not in MODE_FIELDS} == {
+        k: v for k, v in fixed.items() if k not in MODE_FIELDS
+    }
+    assert fields.keys() == fixed.keys()
+
+
+def test_repeated_targets_and_strategies_keep_their_grid_points():
+    scenario = Scenario(
+        structure="struct-1", epsilon_targets=(1e-4, 1e-3, 1e-4),
+        strategies=("serial", "par", "serial"), error_rates=(1e-6,),
+    )
+    points = run_scenario(scenario, PRESETS).points
+    assert [(p.epsilon, p.strategy) for p in points] == [
+        (eps, strategy) for eps in (1e-4, 1e-3, 1e-4)
+        for strategy in ("serial", "par", "serial")
+    ]
+    for a, b in ((0, 2), (0, 6), (1, 7)):
+        assert points[a].logical == points[b].logical
+        assert points[a].physical == points[b].physical
+
+
+def test_run_scenario_evaluates_each_target_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("evaluate_cost", "optimize_budget"):
+        monkeypatch.setattr(
+            scenarios, name, counted(name, getattr(scenarios, name))
+        )
+    scenario = Scenario(
+        structure="struct-1", epsilon_targets=(1e-4, 1e-3, 1e-4),
+        error_rates=(1e-3, 1e-6),
+    )
+    assert len(run_scenario(scenario, PRESETS).points) == 3 * 3 * 2
+    # one budget and one base cost per target, repeats included
+    assert calls == {"evaluate_cost": 3, "optimize_budget": 3}

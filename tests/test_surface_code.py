@@ -217,11 +217,6 @@ def test_processor_block_conventions():
     assert par.rotation_factory_qubits == 1872 * par.qubits_per_logical
     nest = physical_report(reference_logical("nesting"), FTParams(p_clifford=1e-6))
     assert nest.processor_logical_qubits == 138 - 26
-    override = physical_report(
-        reference_logical("nesting"), FTParams(p_clifford=1e-6),
-        processor_logical_qubits=109,
-    )
-    assert override.processor_qubits == 109 * override.qubits_per_logical
 
 
 def test_processor_distance_from_per_operation_target():

@@ -22,11 +22,13 @@ from oracles import (
     exhaustive_error_constant,
     exhaustive_error_constant_by_key,
     hop_endpoints,
+    is_diagonal,
     nested_commutator_vanishes,
     outer_vanishes,
     random_canonical_terms,
     scalar_stratified,
     scalar_term_arrays,
+    term_support,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -120,9 +122,9 @@ def test_every_rule_fires_somewhere():
     disjoint_pairs = both_diagonal = same_hop = 0
     for ti in terms:
         for tj in terms:
-            if not (ti.support & tj.support):
+            if not (term_support(ti) & term_support(tj)):
                 disjoint_pairs += 1
-            elif ti.is_diagonal and tj.is_diagonal:
+            elif is_diagonal(ti) and is_diagonal(tj):
                 both_diagonal += 1
             elif (
                 ti.term_class in ("PQ", "PQQR")
