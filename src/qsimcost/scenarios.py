@@ -228,6 +228,9 @@ class Scenario:
             raise ValueError(
                 "direct input needs all of m_terms, n_spin_orbitals, beta"
             )
+        width = self.n_spin_orbitals  # abs() first: int() fails on inf, nan
+        if width is not None and not (abs(width) < 2**53 and width == int(width)):
+            raise ValueError(f"n_spin_orbitals must be a whole number, got {width!r}")
         if not self.strategies:
             raise ValueError("scenario needs at least one strategy")
         for strategy in self.strategies:

@@ -35,10 +35,11 @@ which for a band triple (a, b, a) is J[a, b]. The two cases of a are
 disjoint, and the sum of the second over a is a matrix product: for a
 block of middle indices b and each class i of a, (n_a I[b, a] masked to
 a > b and class i) @ J. The products' sizes add up to at most one
-m x m x m product, and every summand is non-negative. The Monte Carlo
-estimator scores the triples it samples with the same identity (gamma),
-stratified by the class signature (class_a, class_b, class_c), so the
-exhaustive mode reproduces the deterministic sum up to summation order.
+m x m x m product, and every summand is non-negative; the exhaustive mode
+reproduces the deterministic sum up to summation order. The Monte Carlo
+estimator scores its samples with the same identity (gamma), stratified by
+the class signature (class_a, class_b, class_c), and draws every sampled
+stratum's triples from one random stream in one call.
 """
 
 from __future__ import annotations
@@ -139,17 +140,6 @@ class ErrorConstantEstimate:
         return self.std_error / self.value if self.value else 0.0
 
 
-def _strata(arrays):
-    """Nonempty ordered class triples with their member index arrays."""
-    positions = [np.flatnonzero(arrays.class_code == i)
-                 for i in range(len(TERM_CLASSES))]
-    present = [i for i, pos in enumerate(positions) if len(pos)]
-    return [
-        (tuple(TERM_CLASSES[i] for i in key), *(positions[i] for i in key))
-        for key in itertools.product(present, repeat=3)
-    ]
-
-
 # middle indices b per block: a block's (rows, m) product and (rows, class
 # size) factors stay a few MB beside the m x m pair tables even on H8
 _BLOCK_ROWS = 256
@@ -190,50 +180,55 @@ def _exhaustive(arrays):
 def _stratified(arrays, samples_per_stratum, seed):
     """Stratified estimate over the class-signature strata.
 
-    Strata of at most samples_per_stratum triples are enumerated; every
-    other stratum draws samples_per_stratum triples from its own Philox
-    stream. All triples are scored by one gamma call with the S sampled
-    strata first, so their draws form one (S, n) block whose row-wise mean
-    and variance are each stratum's; an enumerated stratum sums its slice
-    of the rest.
+    The strata are the ordered triples of present classes, in
+    itertools.product order. A stratum of at most n = samples_per_stratum
+    triples is enumerated. The S others share one Philox stream: one
+    integers call shaped (3, S, n), bounded by the strata's class sizes,
+    draws positions within classes, and the class-member table (term rows
+    sorted by class, with each class's first offset) maps them to rows. A
+    stratum's draws are not stable under reallocation; a Neyman allocation
+    from a pilot moves every stratum's count anyway, and one bounded call
+    takes its flat per-stratum count array as well as a uniform n. One
+    gamma call scores all triples, the sampled strata's (S, n) block first,
+    whose row-wise mean and variance are each stratum's; an enumerated
+    stratum sums its triples left to right.
     """
     n = samples_per_stratum
-    strata = _strata(arrays)
-    sampled, enumerated = [], []
-    for index, (_, *positions) in enumerate(strata):
-        if math.prod(map(len, positions)) <= n:
-            grids = np.meshgrid(*positions, indexing="ij")
-            enumerated.append([grid.ravel() for grid in grids])
-            continue
-        # one independent stream per stratum, stable under reallocation
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,)))
-        )
-        sampled.append([pos[rng.integers(0, len(pos), n)] for pos in positions])
-    gam_all = arrays.gamma(
-        *(np.concatenate(column) for column in zip(*sampled, *enumerated))
+    sizes = np.bincount(arrays.class_code, minlength=len(TERM_CLASSES))
+    members = np.argsort(arrays.class_code, kind="stable")
+    first = np.cumsum(sizes) - sizes
+    # (3, strata) class codes of (a, b, c)
+    keys = np.array(list(itertools.product(np.flatnonzero(sizes), repeat=3))).T
+    span = sizes[keys]
+    cube = span.prod(axis=0, dtype=float)
+    sampled = cube > n
+    draws = np.random.Generator(np.random.Philox(seed)).integers(
+        0, span[:, sampled, None], (3, sampled.sum(), n), dtype=np.intp
     )
-    block = gam_all[: len(sampled) * n].reshape(len(sampled), n)
-    means = iter(block.mean(axis=1).tolist())
-    variances = iter(
-        block.var(axis=1, ddof=1).tolist() if n > 1 else [0.0] * len(sampled)
-    )
+    draws += first[keys[:, sampled, None]]
+    # enumerated strata in meshgrid "ij" order: c fastest, then b, then a
+    cells = cube[~sampled].astype(np.intp)
+    stratum = np.repeat(np.arange(len(cells)), cells)
+    flat = np.arange(cells.sum()) - np.repeat(np.cumsum(cells) - cells, cells)
+    size_b, size_c = span[1:, ~sampled][:, stratum]
+    grid = np.stack([flat // (size_b * size_c), flat // size_c % size_b, flat % size_c])
+    grid += first[keys[:, ~sampled]][:, stratum]
+    local = draws.reshape(3, -1)
+    if len(cells):
+        local = np.concatenate([local, grid], axis=1)
+    # positions are in range by construction; "clip" lets take write the
+    # rows in place, where "raise" buffers a copy
+    gam = arrays.gamma(*members.take(local, out=local, mode="clip"))
 
-    total = 0.0
-    variance = 0.0
-    per_stratum = {}
-    stop = block.size
-    for key, *positions in strata:
-        cube = math.prod(map(len, positions))
-        if cube <= n:
-            start, stop = stop, stop + cube
-            contribution = float(gam_all[start:stop].sum())
-        else:
-            contribution = cube * next(means)
-            variance += cube * cube * next(variances) / n
-        per_stratum[key] = contribution
-        total += contribution
-    return total, math.sqrt(variance), n * len(sampled), per_stratum
+    block = gam[: draws[0].size].reshape(-1, n)
+    contribution = np.empty(cube.size)
+    contribution[sampled] = cube[sampled] * block.mean(axis=1)
+    contribution[~sampled] = np.bincount(stratum, weights=gam[block.size:])
+    spread = block.var(axis=1, ddof=1) if n > 1 else np.zeros(len(block))
+    variance = math.fsum(cube[sampled] ** 2 * spread / n)
+    names = map(tuple, np.array(TERM_CLASSES)[keys.T].tolist())
+    return (math.fsum(contribution), math.sqrt(variance), block.size,
+            dict(zip(names, contribution.tolist())))
 
 
 def estimate_error_constant(terms, method="exhaustive", samples_per_stratum=200,
@@ -246,8 +241,8 @@ def estimate_error_constant(terms, method="exhaustive", samples_per_stratum=200,
             class-signature stratum and enumerates strata smaller than the
             per-stratum budget.
         samples_per_stratum: stratified budget per stratum, at least 1.
-        seed: non-negative base seed; stratified runs derive one child
-            stream per stratum, so results are reproducible bit for bit.
+        seed: non-negative seed of the one stream a stratified run draws
+            every stratum from, so results are reproducible bit for bit.
 
     Returns:
         ErrorConstantEstimate.

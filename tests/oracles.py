@@ -69,7 +69,6 @@ from qsimcost.oracle import (
     _resolve_sector,
     _twice_sz,
 )
-from qsimcost.trotter import _strata
 
 
 def apply_annihilate(state, orb):
@@ -701,38 +700,39 @@ def scalar_stratified(arrays, samples_per_stratum, seed):
     """Stratified h with one gamma call per stratum.
 
     Returns (value, std_error, samples, per_stratum) like the package's
-    stratified estimator, drawing from the same per-stratum streams.
+    stratified estimator and draws the same indices: one Philox stream per
+    estimate, one integers call shaped (3, sampled strata, n) bounded by the
+    class sizes, read here stratum by stratum as positions within each
+    class. An enumerated stratum sums its meshgrid triples left to right.
     """
-    total = 0.0
-    variance = 0.0
-    drawn = 0
+    n = samples_per_stratum
+    positions = [np.flatnonzero(arrays.class_code == i)
+                 for i in range(len(TERM_CLASSES))]
+    present = [i for i, pos in enumerate(positions) if len(pos)]
+    strata = [
+        (tuple(TERM_CLASSES[i] for i in key), [positions[i] for i in key])
+        for key in itertools.product(present, repeat=3)
+    ]
+    sampled = [pos for _, pos in strata if math.prod(map(len, pos)) > n]
+    bounds = np.array([[len(pos[axis]) for pos in sampled] for axis in range(3)])
+    draws = np.random.Generator(np.random.Philox(seed)).integers(
+        0, bounds.reshape(3, -1, 1), (3, len(sampled), n), dtype=np.intp
+    )
     per_stratum = {}
-    for index, (key, pos_a, pos_b, pos_c) in enumerate(_strata(arrays)):
+    variances = []
+    for key, (pos_a, pos_b, pos_c) in strata:
         cube = len(pos_a) * len(pos_b) * len(pos_c)
-        # one independent stream per stratum, stable under reallocation
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,)))
-        )
-        if cube <= samples_per_stratum:
+        if cube <= n:
             a_grid, b_grid, c_grid = np.meshgrid(pos_a, pos_b, pos_c, indexing="ij")
             gam = arrays.gamma(a_grid.ravel(), b_grid.ravel(), c_grid.ravel())
-            contribution = float(gam.sum())
-            per_stratum[key] = contribution
-            total += contribution
+            per_stratum[key] = float(np.cumsum(gam)[-1])
             continue
-        n = samples_per_stratum
-        a = pos_a[rng.integers(0, len(pos_a), n)]
-        b = pos_b[rng.integers(0, len(pos_b), n)]
-        c = pos_c[rng.integers(0, len(pos_c), n)]
-        gam = arrays.gamma(a, b, c)
-        mean = float(gam.mean())
-        contribution = cube * mean
-        per_stratum[key] = contribution
-        total += contribution
-        var = float(gam.var(ddof=1)) if n > 1 else 0.0
-        variance += cube * cube * var / n
-        drawn += n
-    return total, math.sqrt(variance), drawn, per_stratum
+        a, b, c = draws[:, len(variances)]
+        gam = arrays.gamma(pos_a[a], pos_b[b], pos_c[c])
+        per_stratum[key] = cube * float(gam.mean())
+        variances.append(cube * cube * float(gam.var(ddof=1)) / n if n > 1 else 0.0)
+    return (math.fsum(per_stratum.values()), math.sqrt(math.fsum(variances)),
+            n * len(variances), per_stratum)
 
 
 def scalar_nesting_batches(terms):

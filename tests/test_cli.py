@@ -634,6 +634,21 @@ def test_report_names_a_config_value_of_the_wrong_type(tmp_path, capsys,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("width, shown", [("9.7", "9.7"), ("1e400", "inf")])
+def test_report_refuses_a_register_width_that_is_not_whole(tmp_path, capsys,
+                                                           width, shown):
+    # the width feeds both int() and the nesting parallelism (width / 4), so
+    # a fraction or inf (1e400 in JSON) must stop at the config
+    path = tmp_path / "config.json"
+    path.write_text(
+        f'{{"m_terms": 1e6, "n_spin_orbitals": {width}, "beta": 10}}'
+    )
+    code, out, err = run(capsys, "report", "--config", str(path))
+    assert (code, out, err) == (
+        2, "", f"error: n_spin_orbitals must be a whole number, got {shown}\n"
+    )
+
+
 def test_report_names_an_unknown_beta_case(capsys):
     code, out, err = run(
         capsys, "report", "--structure", "struct-1", "--beta-case", "nope"

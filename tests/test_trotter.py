@@ -3,6 +3,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsimcost import (
     ErrorConstantEstimate,
@@ -15,6 +17,7 @@ from qsimcost import (
     term_matrix,
     trotter_number,
 )
+from qsimcost.hamiltonian import TERM_CLASSES
 from qsimcost.trotter import _TermArrays
 
 from oracles import (
@@ -368,6 +371,33 @@ def test_stratified_mixing_enumerated_strata_matches_reference(samples_per_strat
         )
         want = _reference_estimate(terms, samples_per_stratum, 4)
         assert repr(got) == repr(want), name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n_spin_orbitals=st.sampled_from([8, 12, 40]),
+    class_sizes=st.lists(st.integers(0, 8), min_size=5, max_size=5),
+    term_seed=st.integers(0, 2**16),
+    samples_per_stratum=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+def test_stratified_matches_reference_on_random_term_lists(
+    n_spin_orbitals, class_sizes, term_seed, samples_per_stratum, seed
+):
+    # a zero size leaves a class absent; uneven sizes put some strata under
+    # the budget (enumerated) beside sampled ones
+    kept = []
+    for term in random_canonical_terms(n_spin_orbitals, 40, term_seed):
+        size = class_sizes[TERM_CLASSES.index(term.term_class)]
+        if sum(t.term_class == term.term_class for t in kept) < size:
+            kept.append(term)
+    assume(kept)
+    terms = TermList(terms=kept, n_spin_orbitals=n_spin_orbitals)
+    got = estimate_error_constant(
+        terms, method="stratified", samples_per_stratum=samples_per_stratum,
+        seed=seed,
+    )
+    assert repr(got) == repr(_reference_estimate(terms, samples_per_stratum, seed))
 
 
 def test_stratified_is_exact_when_budget_covers_all_strata():
