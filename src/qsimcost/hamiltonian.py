@@ -5,6 +5,12 @@ of spin-orbital interaction terms that the rest of the package costs out:
 each term is one unit of Trotterization, one rotation per product-formula
 half-step.
 
+Both ends of the path cost O(input) in array passes: parse_fcidump
+converts the record columns with numpy and scatters them into the tables,
+checking lines one at a time only to name a malformed one, and
+clifford_count_per_step reads each term's Jordan-Wigner chain as at most
+two index ranges, so it needs O(M) memory at any register width.
+
 Conventions
 -----------
 * Integral files use the FCIDUMP layout: a namelist header, then lines of
@@ -61,12 +67,12 @@ _CLASS_CODE = {c: i for i, c in enumerate(TERM_CLASSES)}
 # (index-tuple length, distinct indices) per class
 _SHAPE = {"PP": (1, 1), "PQ": (2, 2), "PQQP": (4, 2), "PQQR": (4, 3), "PQRS": (4, 4)}
 _LENGTH = np.array([_SHAPE[c][0] for c in TERM_CLASSES])
-_DIAGONAL_CODES = [_CLASS_CODE["PP"], _CLASS_CODE["PQQP"]]
+_IS_DIAGONAL = np.array([c in ("PP", "PQQP") for c in TERM_CLASSES])  # by code
 
-_EIGHTFOLD = (
+_EIGHTFOLD = np.array([
     (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
     (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0),
-)
+])
 
 
 class IntegralTable:
@@ -303,9 +309,26 @@ _HEADER_INT = {
     "NELEC": re.compile(r"NELEC\s*=\s*(-?\d+)", re.IGNORECASE),
 }
 
+# a record's kind has bit i set when its index i (p, q, r, s) is nonzero;
+# the single-index kinds 1 and 2 are orbital-energy records, not stored
+_CORE, _ONE_BODY, _TWO_BODY = 0b0000, 0b0011, 0b1111
+_KIND_BITS = np.array([1, 2, 4, 8])
+_KNOWN_KIND = np.array([k in (_CORE, 0b0001, 0b0010, _ONE_BODY, _TWO_BODY)
+                        for k in range(16)])
+
 
 def parse_fcidump(source, source_label=None):
     """Read an FCIDUMP file into an IntegralTable.
+
+    The records after the header are read in array passes: one split of
+    the whole body into tokens, numpy conversion of the value column and
+    the four index columns, masks for the malformed records, and scatters
+    into the tables. A later record of a symmetry class overwrites an
+    earlier one, as if the records were stored one line at a time; blank
+    lines, fields past the fifth and orbital-energy records (one nonzero
+    index, r = s = 0) are skipped. When a record is malformed, the lines up
+    to it are checked one at a time, so the error names the first bad
+    line.
 
     Args:
         source: path to the file, or any object with a read() method.
@@ -315,9 +338,9 @@ def parse_fcidump(source, source_label=None):
         IntegralTable with symmetry-completed integrals.
 
     Raises:
-        ValueError: malformed header, orbital index out of range, or a
-            non-numeric or non-finite value field, each reported with its
-            line number.
+        ValueError: malformed header, a NORB whose tables cannot be
+            allocated, orbital index out of range, or a non-numeric or
+            non-finite value field, each reported with its line number.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -349,9 +372,76 @@ def parse_fcidump(source, source_label=None):
     if norb < 1:
         raise ValueError(f"line 1: malformed header, NORB = {norb}")
 
-    table = IntegralTable(norb, n_electrons=fields["NELEC"], source_label=label)
+    try:
+        table = IntegralTable(norb, n_electrons=fields["NELEC"], source_label=label)
+    except (MemoryError, ValueError):  # numpy: "array is too big"
+        raise ValueError(
+            f"line 1: NORB = {norb} asks for "
+            f"{8 * (norb**4 + norb**2) / 2**30:,.1f} GiB of integral tables, "
+            "more than can be allocated"
+        ) from None
 
-    for lineno, line in enumerate(lines[header_end + 1 :], start=header_end + 2):
+    values, index, kind = _read_records(lines[header_end + 1 :], header_end + 2, norb)
+    # a later record of a symmetry class wins: keep the last record per
+    # class, keyed by its two index pairs, each ordered, in order (the
+    # core energy is the pair of zero pairs, a one-body record (p, q) the
+    # pair of (p, q) and a zero pair)
+    base = norb + 1
+    pair = np.sort(index.reshape(2, 2, -1), axis=1)
+    pair = pair[:, 1] * base + pair[:, 0]
+    keys = pair.max(axis=0) * base**2 + pair.min(axis=0)
+    _, first_from_end = np.unique(keys[::-1], return_index=True)
+    last = len(keys) - 1 - first_from_end
+    values, index, kind = values[last], index[:, last] - 1, kind[last]
+    core = values[kind == _CORE]
+    if len(core):
+        table.core_energy = float(core[0])
+    one = kind == _ONE_BODY
+    p, q = index[:2, one]
+    table.one_body.put([p * norb + q, q * norb + p], values[one])
+    two = kind == _TWO_BODY
+    images = index[:, two][_EIGHTFOLD]  # (8, 4, R): each class's 8 tuples
+    # put repeats the values over the images' flat positions
+    table.two_body.put(norb ** np.arange(3, -1, -1) @ images, values[two])
+    return table
+
+
+def _read_records(lines, first_lineno, norb):
+    """Columns of the FCIDUMP records in lines, numbered from first_lineno:
+    the values (R,), the indices (4, R) and each record's kind (R,), in
+    line order, blank lines and fields past the fifth left out.
+
+    Raises:
+        ValueError: of _check_records, for the first malformed line.
+    """
+    width = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    tokens = "\n".join(lines).split()
+    rows = np.flatnonzero(width)
+    width = width[rows]
+    short = width < 5
+    if short.any():
+        _check_records(lines[: rows[short.argmax()] + 1], first_lineno, norb)
+    if (width > 5).any():  # keep the first five fields of each record
+        tokens = [t for line in lines for t in line.split()[:5]]
+    columns = [tokens[i::5] for i in range(5)]
+    try:
+        values = np.array(columns[0], dtype=float)
+        index = np.array(columns[1:], dtype=np.int64)
+    except (ValueError, OverflowError):
+        _check_records(lines, first_lineno, norb)
+    kind = _KIND_BITS @ (index != 0)
+    # a negative index reads as a huge unsigned one
+    bad = ~np.isfinite(values) | (index.view(np.uint64) > norb).any(axis=0)
+    bad |= ~_KNOWN_KIND[kind]
+    if bad.any():
+        _check_records(lines[: rows[bad.argmax()] + 1], first_lineno, norb)
+    return values, index, kind
+
+
+def _check_records(lines, first_lineno, norb):
+    """Raise the ValueError of the first malformed FCIDUMP record among
+    lines, numbered from first_lineno; lines must hold one."""
+    for lineno, line in enumerate(lines, start=first_lineno):
         parts = line.split()
         if not parts:
             continue
@@ -372,21 +462,12 @@ def parse_fcidump(source, source_label=None):
                 raise ValueError(
                     f"line {lineno}: index {name}={idx} out of range 1..{norb}"
                 )
-        if p == q == r == s == 0:
-            table.core_energy = value
-        elif r == 0 and s == 0:
-            if p == 0 or q == 0:
-                # single nonzero index: orbital-energy record, not stored
-                continue
-            table.set_one_body(p, q, value)
-        elif p and q and r and s:
-            table.set_two_body(p, q, r, s, value)
-        else:
+        if not (r == s == 0 or (p and q and r and s)):
             raise ValueError(
                 f"line {lineno}: index pattern ({p},{q},{r},{s}) is neither "
                 "two-body, one-body, nor core"
             )
-    return table
+    raise AssertionError("no malformed record among the lines checked")
 
 
 def write_fcidump(table, destination):
@@ -559,27 +640,41 @@ class CliffordStepCount:
         return self.entangling + self.basis_changes
 
 
-def _chain_membership(codes, index):
-    """(M, n) membership matrix: [j, q - 1] is set when spin orbital q lies
-    on the Jordan-Wigner chain of term j, n being the largest index.
+def _chain_events(index, n_spin_orbitals):
+    """(5, M) int32 event rows of the terms' Jordan-Wigner chains, one
+    column per index row.
 
     Every chain is the union of two closed index ranges. One-body terms use
-    [p, p] (PP) or [p, q] (PQ) twice. With the four indices of a two-body
-    term sorted as w1 <= w2 <= w3 <= w4 the chain is [w1, w2] U [w3, w4]:
-    for PQQP (p, p, q, q) that is {p} U {q}; for PQQR the repeated (shared)
+    [p, p] (PP) or [p, q] (PQ). With the four indices of a two-body term
+    sorted as w1 <= w2 <= w3 <= w4 the chain is [w1, w2] U [w3, w4]: for
+    PQQP (p, p, q, q) that is {p} U {q}; for PQQR the repeated (shared)
     index either closes a one-point range or sits inside [lo, hi], which
     gives [lo, hi] U {shared}; for PQRS it is the two segments themselves.
+    In a canonical row (c1, c2, a1, a2), c1 is w1, the row maximum is w4,
+    min(c2, a1) is w2 and max(a1, min(c2, a2)) is w3; the zero padding of a
+    one-body row makes both middle values 0.
+
+    The two ranges merge into [w1, w4] when w3 <= w2 + 1, so each chain is
+    at most two disjoint maximal ranges [a1, b1] and [a2, b2]; a chain of
+    one range gets the empty range a2 = b2 + 1 = n_spin_orbitals + 1, past
+    the register, as its second. Rows 0-3 are a1, b1 + 1, a2, b2 + 1, the
+    positions at which membership turns on and off, so two chains are
+    equal exactly when their event rows are. Row 4 is n_spin_orbitals + 1
+    for every term.
     """
-    w1, w2, w3, w4 = np.sort(index, axis=1).T
-    one_body = codes < _CLASS_CODE["PQQP"]
-    p = index[:, 0]
-    q = np.maximum(p, index[:, 1])  # q = p for PP
-    first = np.where(one_body, p, w1), np.where(one_body, q, w2)
-    second = np.where(one_body, p, w3), np.where(one_body, q, w4)
-    qubit = np.arange(1, int(index.max()) + 1)
-    return (
-        (qubit >= first[0][:, None]) & (qubit <= first[1][:, None])
-    ) | ((qubit >= second[0][:, None]) & (qubit <= second[1][:, None]))
+    c1, c2, a1, a2 = index.T
+    last = index.max(axis=1)
+    low = np.minimum(c2, a1)
+    high = np.maximum(a1, np.minimum(c2, a2))
+    merged = high <= low + 1
+    past = n_spin_orbitals + 1
+    events = np.empty((5, len(index)), dtype=np.int32)
+    events[0] = c1
+    events[1] = np.where(merged, last, low) + 1
+    events[2] = np.where(merged, past, high)
+    events[3] = np.where(merged, past, last + 1)
+    events[4] = past
+    return events
 
 
 def clifford_count_per_step(terms, cost_table=None):
@@ -592,15 +687,17 @@ def clifford_count_per_step(terms, cost_table=None):
     of the forward-plus-reverse sequence (the turnaround repeats the last
     term, so its ladder cancels completely).
 
-    Closed form: each term's chain (the qubits of its Jordan-Wigner
-    string, parity chain included) is a row of a boolean membership matrix
-    built from two index ranges per term, read off the TermList's class
-    codes and index table, and its width w is the row sum. Two consecutive chains agree on their first k qubits, where k
-    counts the set bits of the earlier row before the first column in which
-    the rows differ (all of them when none does); their ladders then share
-    max(k - 1, 0) rungs. The reverse pass repeats the forward junctions
-    mirrored, and the turnaround cancels w_last - 1 rungs, so every
-    quantity is an integer sum over rows.
+    Closed form, in O(M) memory at any register width: each term's chain
+    (the qubits of its Jordan-Wigner string, parity chain included) is at
+    most two disjoint ranges, read off the TermList's index table as event
+    rows (see _chain_events), and its width w is the total range length.
+    Two consecutive chains first differ at the smaller of their two values
+    in the first event row where they differ (nowhere when none does).
+    They agree on their first k qubits, where k counts the earlier chain's
+    qubits before that position (all of them when the chains are equal),
+    and their ladders then share max(k - 1, 0) rungs. The reverse pass
+    repeats the forward junctions mirrored, and the turnaround cancels
+    w_last - 1 rungs, so every quantity is an integer sum over terms.
 
     Args:
         terms: TermList, applied in row order.
@@ -610,27 +707,28 @@ def clifford_count_per_step(terms, cost_table=None):
         CliffordStepCount for a single step.
     """
     table = cost_table or CliffordCostTable()
-    codes, index = terms.codes, terms.index
-    m = len(codes)
+    m = len(terms.codes)
     if not m:
         return CliffordStepCount(entangling=0, basis_changes=0, rotations=0)
-    chain = _chain_membership(codes, index)
-    width = chain.sum(axis=1)
-    diagonal = np.isin(codes, _DIAGONAL_CODES)
+    events = _chain_events(terms.index, terms.n_spin_orbitals)
+    starts, ends = events[0:4:2], events[1:4:2]  # (2, M): one row per range
+    width = (ends - starts).sum(axis=0)
+    diagonal = _IS_DIAGONAL[terms.codes]
 
     # every term appears twice in the forward-plus-reverse sequence
-    entangling = 2 * table.entangling_per_rung * int((width - 1).sum())
+    entangling = 2 * table.entangling_per_rung * (int(width.sum(dtype=np.int64)) - m)
     basis = 2 * (
-        table.diagonal_basis_changes * int(width[diagonal].sum())
-        + table.basis_changes_per_qubit * int(width[~diagonal].sum())
+        table.diagonal_basis_changes * int(width[diagonal].sum(dtype=np.int64))
+        + table.basis_changes_per_qubit * int(width[~diagonal].sum(dtype=np.int64))
     )
     if table.cancel_adjacent_ladders:
-        differ = np.ones((m - 1, chain.shape[1] + 1), dtype=bool)
-        differ[:, :-1] = chain[:-1] != chain[1:]
-        before = np.zeros((m, chain.shape[1] + 1), dtype=np.int64)
-        np.cumsum(chain, axis=1, out=before[:, 1:])
-        shared = before[np.arange(m - 1), differ.argmax(axis=1)]
-        forward = int(np.maximum(shared - 1, 0).sum())
+        differ = events[:, :-1] != events[:, 1:]
+        differ[4] = True  # equal chains meet at row 4, past the register
+        at = np.minimum(events[:, :-1], events[:, 1:])[
+            differ.argmax(axis=0), np.arange(m - 1)
+        ]
+        shared = np.maximum(np.minimum(ends[:, :-1], at) - starts[:, :-1], 0)
+        forward = int(np.maximum(shared.sum(axis=0) - 1, 0).sum(dtype=np.int64))
         entangling -= table.entangling_per_rung * (
             2 * forward + int(width[-1]) - 1
         )

@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .hamiltonian import _CLASS_CODE, _DIAGONAL_CODES, TermList
+from .hamiltonian import _CLASS_CODE, _IS_DIAGONAL, TermList
 
 __all__ = [
     "DEFAULT_QUBIT_CAP",
@@ -164,7 +164,7 @@ def _action_table(terms, states):
             flips += np.bitwise_count(state & ((np.int64(1) << shift) - 1))
             state = state ^ bit
         sign = np.where(flips & 1, -1, 1).astype(np.int8)
-        diag = np.isin(codes[rows], _DIAGONAL_CODES)
+        diag = _IS_DIAGONAL[codes[rows]]
         if np.any(alive[diag] & (state[diag] != states)):
             raise AssertionError("diagonal term moved a basis state")
         term, source = np.nonzero(alive & ~diag[:, None])

@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from .hamiltonian import _DIAGONAL_CODES, TERM_CLASSES, _index_bits
+from .hamiltonian import _IS_DIAGONAL, TERM_CLASSES, _index_bits
 
 __all__ = [
     "ErrorConstantEstimate",
@@ -82,7 +82,7 @@ class _TermArrays:
         self.m = len(codes)
         self.norm = terms.norms
         self.support = np.bitwise_or.reduce(bits, axis=2).T
-        self.diagonal = np.isin(codes, _DIAGONAL_CODES)
+        self.diagonal = _IS_DIAGONAL[codes]
         self.hopping = np.isin(codes, _HOPPING_CODES)
         self.hop = np.where(
             self.hopping[:, None], np.bitwise_xor.reduce(bits, axis=2).T,

@@ -13,6 +13,9 @@ the package's term enumeration, matrix builder, or cost formulas:
   vectorized optimizer. It leans on the package: it builds ErrorBudget
   objects and scores points with the scalar evaluate_cost, whose formula
   test_costs.py pins against 50-digit arithmetic.
+* the former per-line loop of the FCIDUMP reader, the reference for its
+  array passes: each record checked and stored with the table's
+  set_one_body and set_two_body in line order.
 * the former per-term loops of the FCIDUMP term path, the reference for
   its array kernels: the enumeration loops, the Clifford count over
   jw_chain ladders, the scalar vanishing rules and the mask packing loop
@@ -56,10 +59,11 @@ from qsimcost import (
     CliffordStepCount,
     ErrorBudget,
     HamiltonianTerm,
+    IntegralTable,
     TermList,
     evaluate_cost,
 )
-from qsimcost.hamiltonian import TERM_CLASSES
+from qsimcost.hamiltonian import _HEADER_INT, TERM_CLASSES
 from qsimcost.oracle import (
     _DEGENERACY_TOL,
     DEFAULT_QUBIT_CAP,
@@ -506,6 +510,78 @@ def step_orders(terms, seed=0):
         "diagonal-first": sorted(range(m), key=lambda i: not diagonal[i]),
         "reversed": list(range(m))[::-1],
     }
+
+
+def scalar_parse_fcidump(source, source_label=None):
+    """parse_fcidump reading the records one line at a time."""
+    if hasattr(source, "read"):
+        text = source.read()
+        label = source_label or getattr(source, "name", "<stream>")
+    else:
+        with open(source) as fh:
+            text = fh.read()
+        label = source_label or str(source)
+
+    lines = text.splitlines()
+    header_end = None
+    for i, line in enumerate(lines):
+        if "&END" in line.upper() or line.strip() == "/":
+            header_end = i
+            break
+    if header_end is None:
+        raise ValueError("line 1: malformed header, no &END or / terminator")
+    header = " ".join(lines[: header_end + 1])
+    if "&FCI" not in header.upper():
+        raise ValueError("line 1: malformed header, missing &FCI namelist")
+
+    fields = {}
+    for key, pattern in _HEADER_INT.items():
+        match = pattern.search(header)
+        if match is None:
+            raise ValueError(f"line 1: malformed header, missing {key}")
+        fields[key] = int(match.group(1))
+    norb = fields["NORB"]
+    if norb < 1:
+        raise ValueError(f"line 1: malformed header, NORB = {norb}")
+
+    table = IntegralTable(norb, n_electrons=fields["NELEC"], source_label=label)
+
+    for lineno, line in enumerate(lines[header_end + 1 :], start=header_end + 2):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 5:
+            raise ValueError(f"line {lineno}: expected 'value p q r s', got {line!r}")
+        try:
+            value = float(parts[0])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric value {parts[0]!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: non-finite value {parts[0]!r}")
+        try:
+            p, q, r, s = (int(x) for x in parts[1:5])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer orbital index in {line!r}") from None
+        for name, idx in (("p", p), ("q", q), ("r", r), ("s", s)):
+            if idx < 0 or idx > norb:
+                raise ValueError(
+                    f"line {lineno}: index {name}={idx} out of range 1..{norb}"
+                )
+        if p == q == r == s == 0:
+            table.core_energy = value
+        elif r == 0 and s == 0:
+            if p == 0 or q == 0:
+                # single nonzero index: orbital-energy record, not stored
+                continue
+            table.set_one_body(p, q, value)
+        elif p and q and r and s:
+            table.set_two_body(p, q, r, s, value)
+        else:
+            raise ValueError(
+                f"line {lineno}: index pattern ({p},{q},{r},{s}) is neither "
+                "two-body, one-body, nor core"
+            )
+    return table
 
 
 def scalar_enumerate_terms(table, drop_threshold=1e-10, norm_multipliers=None):

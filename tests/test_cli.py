@@ -5,6 +5,7 @@ import pathlib
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from qsimcost import IntegralTable, load_molecule, write_fcidump
@@ -55,6 +56,34 @@ def test_ingest_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "ingest", "--fcidump", "no_such.fcidump")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("refusal", [
+    MemoryError("Unable to allocate 7.28 TiB for an array"),
+    ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger "
+               "than the maximum possible size."),
+], ids=["memory", "too-big"])
+@pytest.mark.parametrize("command", ["report", "ingest"])
+def test_unallocatable_norb_is_named_on_line_1(tmp_path, capsys, monkeypatch,
+                                               command, refusal):
+    # NORB = 1000 asks for 7.28 TiB of two-body integrals; numpy refuses
+    # such a request with either error. The stand-in refuses anything past
+    # 1e9 elements, so no test asks the system for the memory
+    zeros = np.zeros
+
+    def refusing_zeros(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e9:
+            raise refusal
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refusing_zeros)
+    path = tmp_path / "wide.fcidump"
+    path.write_text(" &FCI NORB=1000,NELEC=2,\n &END\n  0.5 1 1 0 0\n")
+    code, out, err = run(capsys, command, "--fcidump", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: line 1: NORB = 1000 asks for 7,450.6 GiB of "
+                   "integral tables, more than can be allocated\n")
 
 
 def test_trotter_bound_exhaustive(capsys):

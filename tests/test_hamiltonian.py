@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsimcost import (
     CliffordCostTable,
@@ -31,6 +33,8 @@ from oracles import (
     reordered,
     scalar_clifford_count_per_step,
     scalar_enumerate_terms,
+    scalar_parse_fcidump,
+    step_orders,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
@@ -158,6 +162,114 @@ def test_parse_error_short_line():
     text = HEADER + "  0.5 1 1\n"
     with pytest.raises(ValueError, match="line 5"):
         parse_fcidump(io.StringIO(text))
+
+
+# Records for the property tests below. Up to three spatial orbitals
+# keep symmetry-class collisions, and so conflicting duplicates, common.
+VALUES = st.one_of(
+    st.floats(-2.0, 2.0, allow_subnormal=False),
+    st.sampled_from([0.0, -0.0, 0.5, -1.25]),
+)
+
+
+@st.composite
+def record_lines(draw, norb):
+    """Well-formed body lines in several layouts: two-body, one-body,
+    orbital-energy and core records, blank lines and extra fields."""
+    orbital = st.integers(1, norb)
+    kind = draw(st.sampled_from(["two", "two", "one", "orbital", "core", "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "two":
+        index = [draw(orbital) for _ in range(4)]
+    elif kind == "one":
+        index = [draw(orbital), draw(orbital), 0, 0]
+    elif kind == "orbital":
+        index = draw(st.sampled_from([[draw(orbital), 0, 0, 0],
+                                      [0, draw(orbital), 0, 0]]))
+    else:
+        index = [0, 0, 0, 0]
+    value = draw(VALUES)
+    text = draw(st.sampled_from([repr(value), f"{value: .16E}", f"{value:.3f}"]))
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    extra = draw(st.sampled_from([[], ["0"], ["x", "7"]]))
+    return "  " + sep.join([text, *map(str, index), *extra])
+
+
+@st.composite
+def fcidump_texts(draw, max_lines=30):
+    norb = draw(st.integers(1, 3))
+    lines = draw(st.lists(record_lines(norb), max_size=max_lines))
+    header = f" &FCI NORB={norb},NELEC=2,MS2=0,\n  ORBSYM={'1,' * norb}\n  ISYM=1,\n &END\n"
+    return norb, header, lines
+
+
+def parsed_or_error(parse, text):
+    try:
+        return parse(io.StringIO(text), source_label="probe")
+    except ValueError as error:
+        return str(error)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(record_lines(n), max_size=25))
+))
+def test_written_tables_read_back_equal(case):
+    norb, lines = case
+    table = scalar_parse_fcidump(io.StringIO(
+        f" &FCI NORB={norb},NELEC=2,\n &END\n" + "\n".join(lines) + "\n"
+    ))
+    buf = io.StringIO()
+    write_fcidump(table, buf)
+    assert parse_fcidump(io.StringIO(buf.getvalue())) == table
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(fcidump_texts())
+def test_parse_matches_line_by_line_reference(case):
+    _, header, lines = case
+    text = header + "\n".join(lines) + "\n"
+    got = parse_fcidump(io.StringIO(text), source_label="probe")
+    reference = scalar_parse_fcidump(io.StringIO(text), source_label="probe")
+    assert got == reference
+    assert got.source_label == reference.source_label
+
+
+# one malformed line each; {past} is one past the last orbital
+CORRUPTIONS = [
+    "  0.5 1 1",                 # fewer than 5 fields
+    "  0.5",
+    "  abc 1 1 1 1",             # non-numeric value
+    "  1.0D-03 1 1 0 0",
+    "  nan 1 1 1 1",             # non-finite value
+    "  -inf 1 1 0 0",
+    "  1e999 1 1 1 1",
+    "  0.5 1.0 1 1 1",           # non-integer index
+    "  0.5 1 1 x 1",
+    "  0.5 1 {past} 1 1",        # out-of-range index
+    "  0.5 -1 1 1 1",
+    "  0.5 1 1 0 {past}",
+    "  0.5 99999999999999999999 1 1 1",
+    "  0.5 1 0 1 0",             # neither two-body, one-body nor core
+    "  0.5 0 0 1 1",
+    "  0.5 1 1 1 0",
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(fcidump_texts(), st.lists(
+    st.tuples(st.sampled_from(CORRUPTIONS), st.integers(0, 10**6)),
+    min_size=1, max_size=2,
+))
+def test_malformed_line_gives_the_reference_message(case, corruptions):
+    norb, header, lines = case
+    for template, where in corruptions:
+        lines.insert(where % (len(lines) + 1), template.format(past=norb + 1))
+    text = header + "\n".join(lines) + "\n"
+    reference = parsed_or_error(scalar_parse_fcidump, text)
+    assert isinstance(reference, str)
+    assert parsed_or_error(parse_fcidump, text) == reference
 
 
 def test_write_parse_round_trip_is_exact():
@@ -547,6 +659,46 @@ def test_clifford_count_has_no_orbital_cap():
             )
             assert (step.entangling, step.basis_changes) == (entangling, basis)
     assert max(max(jw_chain(t)) for t in terms) > 64
+
+
+def abutting_terms(n, rng):
+    """Terms whose two chain ranges touch or overlap, so that they merge:
+    PQQR with the shared index next to the hop or inside it, PQQP on
+    neighbours and PQRS with adjacent segments."""
+    a = int(rng.integers(2, n - 3))
+    b = int(rng.integers(a + 1, n - 1))
+    terms = {}
+    for shared in (a - 1, b + 1, (a + b) // 2 if b > a + 1 else None):
+        if shared is not None:
+            low, high = sorted([tuple(sorted((shared, a))), tuple(sorted((shared, b)))])
+            terms[(*low, *high)] = HamiltonianTerm("PQQR", (*low, *high), 0.5, 0.5)
+    terms[(a, a + 1, a, a + 1)] = HamiltonianTerm("PQQP", (a, a + 1, a, a + 1), 0.5, 0.5)
+    terms[(a - 1, a + 1, a, a + 2)] = HamiltonianTerm("PQRS", (a - 1, a + 1, a, a + 2), 0.5, 0.5)
+    terms[(a - 1, a, a + 1, a + 2)] = HamiltonianTerm("PQRS", (a - 1, a, a + 1, a + 2), 0.5, 0.5)
+    return list(terms.values())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    st.integers(6, 140),
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["lexicographic", "shuffled", "diagonal-first", "reversed"]),
+)
+def test_clifford_count_matches_scalar_reference_on_random_terms(n, count, seed, order):
+    # registers past 64 spin orbitals, and chains whose ranges merge, in
+    # every step order
+    drawn = random_canonical_terms(n, count, seed)
+    extra = abutting_terms(n, np.random.default_rng(seed))
+    rows = {t.spin_orbitals: t for t in [*drawn, *extra]}
+    terms = TermList(terms=sorted(rows.values(), key=lambda t: t.spin_orbitals),
+                     n_spin_orbitals=n)
+    if order != "lexicographic":
+        terms = reordered(terms, step_orders(terms, seed=seed)[order])
+    for cost in (None, ODD_COSTS[0]):
+        assert clifford_count_per_step(terms, cost) == scalar_clifford_count_per_step(
+            terms, cost
+        )
 
 
 def test_clifford_single_hop_term_by_hand():
