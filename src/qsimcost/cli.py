@@ -130,20 +130,14 @@ def _cmd_trotter_bound(args):
         terms, method=args.method, samples_per_stratum=args.samples_per_class,
         seed=args.seed,
     )
-    _print_json({
-        "source": args.fcidump,
-        "h_bound": estimate.value,
-        "method": estimate.method,
-        "std_error": estimate.std_error,
-        "relative_std_error": estimate.relative_std_error(),
-        "samples": estimate.samples,
-        "population": estimate.population,
-        "seed": estimate.seed,
-        "per_class": {
-            ",".join(stratum): contribution
-            for stratum, contribution in sorted(estimate.per_stratum.items())
-        },
-    })
+    out = dict(vars(estimate), source=args.fcidump,
+               relative_std_error=estimate.relative_std_error())
+    out["h_bound"] = out.pop("value")
+    out["per_class"] = {
+        ",".join(stratum): contribution
+        for stratum, contribution in sorted(out.pop("per_stratum").items())
+    }
+    _print_json(out)
     return 0
 
 
@@ -231,9 +225,7 @@ def _cmd_logical(args):
 def _cmd_par(args):
     params = ParParams(args.n, args.cached, args.c)
     _print_json({
-        "n_levels": params.n_levels,
-        "rotations_cached": params.rotations_cached,
-        "synthesis_cost": params.synthesis_cost,
+        **vars(params),
         "expected_rotations": par_expected_rotations(params),
         "factory_time_per_rotation": par_factory_time_per_rotation(params),
         "factory_time_no_feed_forward": par_factory_time_no_feed_forward(params),

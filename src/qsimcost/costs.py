@@ -11,9 +11,12 @@ constant, beta the Trotter number at the full accuracy budget e, and
 of e allotted to phase estimation, Trotter truncation, and rotation
 synthesis. Two combination rules tie them to e: worst_case adds them
 linearly; variance adds the two unbiased-error components in quadrature
-before the systematic Trotter term. optimize_budget picks the split by
-scoring whole grids of candidate splits as numpy arrays; evaluate_cost,
-which every report prints, stays scalar math.
+before the systematic Trotter term. One private kernel evaluates the
+formula on broadcast numpy arrays of (e1, e2, e3), with or without the
+ceilings, and one helper writes the combination rule; optimize_budget scores
+whole grids of candidate splits through them. In evaluate_cost, which every
+report prints, and in ErrorBudget only the log2 and hypot are math, since
+numpy's SIMD builds of those two can round differently in the last bit.
 
 The execution strategies differ only downstream of the rotation count:
 serial synthesizes rotations one by one with the average-cost line, nesting
@@ -151,13 +154,8 @@ class ErrorBudget:
 
     def combined(self):
         """The left-hand side of the budget constraint."""
-        if self.combination == "worst_case":
-            return self.epsilon1_pe + self.epsilon2_trotter + self.epsilon3_synth
-        if self.combination == "variance":
-            return self.epsilon2_trotter + math.hypot(
-                self.epsilon1_pe, self.epsilon3_synth
-            )
-        raise ValueError(f"unknown combination rule {self.combination!r}")
+        return _add_rule(self.epsilon2_trotter, self.epsilon1_pe,
+                         self.epsilon3_synth, self.combination)
 
     def validate(self):
         parts = (
@@ -238,18 +236,35 @@ def _check_parallelism(parallelism):
         )
 
 
-def _core_counts(m_terms, budget, beta, pe):
-    _check_problem(m_terms, beta)
-    steps = math.ceil(
-        beta * math.sqrt(budget.epsilon_total / budget.epsilon2_trotter)
-    )
-    pe_reps = math.ceil(pe.alpha / budget.epsilon1_pe)
-    log_arg = 2.0 * m_terms * steps / budget.epsilon3_synth
-    if log_arg <= 1.0:
-        raise ValueError(
-            f"degenerate budget: synthesis log argument {log_arg:g} <= 1"
-        )
-    return steps, pe_reps, math.log2(log_arg)
+def _add_rule(base, e1, e3, combination):
+    """base plus e1 and e3 under the combination rule: (base + e1) + e3 for
+    worst_case, base + hypot(e1, e3) for variance. -_add_rule(-e, e1, e3) is
+    the Trotter share that saturates the rule at total e, (e - e1) - e3 or
+    e - hypot(e1, e3), since negation commutes with rounding. hypot is
+    math.hypot unless e1 or e3 is a numpy array."""
+    if combination == "worst_case":
+        return base + e1 + e3
+    if combination == "variance":
+        array = isinstance(e1, np.ndarray) or isinstance(e3, np.ndarray)
+        return base + (np.hypot if array else math.hypot)(e1, e3)
+    raise ValueError(f"unknown combination rule {combination!r}")
+
+
+def _t_counts(m_terms, epsilon_total, beta, pe, synth, e1, e2, e3, ceil=True):
+    """The cost formula at broadcast (e1, e2, e3), ceiled unless ceil is
+    False: (steps, PE repetitions, synthesis log argument, T count), the T
+    count inf where a component is <= 0 or the log argument is <= 1."""
+    e1, e2, e3 = (np.asarray(e, dtype=float) for e in (e1, e2, e3))
+    with np.errstate(all="ignore"):
+        steps = beta * np.sqrt(epsilon_total / e2)
+        pe_reps = pe.alpha / e1
+        if ceil:
+            steps, pe_reps = np.ceil(steps), np.ceil(pe_reps)
+        log_arg = 2.0 * m_terms * steps / e3
+        per_rotation = synth.t_per_rotation(np.log2(log_arg))
+        t_count = 2.0 * m_terms * steps * pe_reps * per_rotation
+    feasible = (e1 > 0) & (e2 > 0) & (e3 > 0) & (log_arg > 1.0)
+    return steps, pe_reps, log_arg, np.where(feasible, t_count, math.inf)
 
 
 def _clifford_count(strategy, t_count, steps, pe_reps, clifford_per_step):
@@ -291,7 +306,17 @@ def evaluate_cost(m_terms, budget, beta, pe, synth, n_spin_orbitals=None,
     Returns:
         LogicalCostReport.
     """
-    steps, pe_reps, bits = _core_counts(m_terms, budget, beta, pe)
+    _check_problem(m_terms, beta)
+    steps, pe_reps, log_arg, _ = _t_counts(
+        m_terms, budget.epsilon_total, beta, pe, synth, budget.epsilon1_pe,
+        budget.epsilon2_trotter, budget.epsilon3_synth,
+    )
+    steps, pe_reps, log_arg = int(steps), int(pe_reps), float(log_arg)
+    if log_arg <= 1.0:
+        raise ValueError(
+            f"degenerate budget: synthesis log argument {log_arg:g} <= 1"
+        )
+    bits = math.log2(log_arg)
     rotations = 2.0 * m_terms * steps * pe_reps
     per_rotation = synth.t_per_rotation(bits)
     t_count = rotations * per_rotation
@@ -328,39 +353,9 @@ def evaluate_cost_smooth(m_terms, e1, e2, e3, epsilon_total, beta, pe, synth):
     monotonicity analysis. e1, e2, e3 broadcast as numpy arrays; the result
     is inf where a component is <= 0 or the log argument is <= 1, and a
     float for scalar input."""
-    e1, e2, e3 = (np.asarray(e, dtype=float) for e in (e1, e2, e3))
-    with np.errstate(all="ignore"):
-        steps = beta * np.sqrt(epsilon_total / e2)
-        log_arg = 2.0 * m_terms * steps / e3
-        per_rotation = synth.t_per_rotation(np.log2(log_arg))
-        cost = 2.0 * m_terms * (pe.alpha / e1) * steps * per_rotation
-    feasible = (e1 > 0) & (e2 > 0) & (e3 > 0) & (log_arg > 1.0)
-    cost = np.where(feasible, cost, math.inf)
+    cost = _t_counts(m_terms, epsilon_total, beta, pe, synth, e1, e2, e3,
+                     ceil=False)[3]
     return cost if cost.ndim else float(cost)
-
-
-def _e2_from_rule(epsilon_total, e1, e3, combination):
-    if combination == "worst_case":
-        return epsilon_total - e1 - e3
-    return epsilon_total - math.hypot(e1, e3)
-
-
-def _ceiled_t_counts(m_terms, epsilon_total, beta, pe, synth, combination,
-                     e1, e3):
-    """evaluate_cost's T count at each broadcast (e1, e3), e2 saturating the
-    combination rule; inf exactly where ErrorBudget or _core_counts would
-    reject the point (a saturated e2 meets the combined constraint)."""
-    with np.errstate(all="ignore"):
-        if combination == "worst_case":
-            e2 = epsilon_total - e1 - e3
-        else:
-            e2 = epsilon_total - np.hypot(e1, e3)
-        steps = np.ceil(beta * np.sqrt(epsilon_total / e2))
-        log_arg = 2.0 * m_terms * steps / e3
-        rotations = 2.0 * m_terms * steps * np.ceil(pe.alpha / e1)
-        t_count = rotations * synth.t_per_rotation(np.log2(log_arg))
-    valid = (e1 > 0) & (e2 > 0) & (e3 > 0) & (log_arg > 1.0)
-    return np.where(valid, t_count, math.inf)
 
 
 def _first_minimum(values):
@@ -414,11 +409,11 @@ def approx_optimal_budget(m_terms, epsilon_total, beta, pe, synth,
     else:
         rows = axis[:, None]
         best, (i, j) = _first_minimum(evaluate_cost_smooth(
-            m_terms, rows, epsilon_total - np.hypot(rows, axis), axis,
-            epsilon_total, beta, pe, synth,
+            m_terms, rows, -_add_rule(-epsilon_total, rows, axis, combination),
+            axis, epsilon_total, beta, pe, synth,
         ))
         e1, e3 = axis[i], axis[j]
-        e2 = _e2_from_rule(epsilon_total, e1, e3, combination)
+        e2 = -_add_rule(-epsilon_total, e1, e3, combination)
     if not best < math.inf:
         raise _no_finite_budget(m_terms, epsilon_total, beta, pe, synth,
                                 combination)
@@ -435,7 +430,8 @@ def optimize_budget(m_terms, epsilon_total, beta, pe, synth,
     Seeds from approx_optimal_budget plus an equal-split fallback, then
     refines with five shrinking 17 x 17 log grids over (e1, e3), each
     scored as one array of evaluate_cost's ceiled T count with e2 from the
-    saturated combination rule. A grid moves the best point only if its
+    saturated combination rule; a point is inf exactly where ErrorBudget or
+    evaluate_cost would reject it. A grid moves the best point only if its
     first minimum in row-major order is strictly lower; only the final
     point becomes an ErrorBudget.
 
@@ -450,28 +446,30 @@ def optimize_budget(m_terms, epsilon_total, beta, pe, synth,
         raise ValueError(f"epsilon_total must be positive, got {epsilon_total}")
     _check_problem(m_terms, beta)
     problem = (m_terms, epsilon_total, beta, pe, synth, combination)
+
+    def t_counts(e1, e3):
+        e2 = -_add_rule(-epsilon_total, e1, e3, combination)
+        return _t_counts(m_terms, epsilon_total, beta, pe, synth, e1, e2,
+                         e3)[3]
+
     seed = approx_optimal_budget(*problem)
     points = [] if seed is None else [(seed.epsilon1_pe, seed.epsilon3_synth)]
     fallback = epsilon_total / (
         3.0 if combination == "worst_case" else 2.0 * math.sqrt(2.0)
     )
     points.append((fallback, fallback))
-    best_cost, (i,) = _first_minimum(
-        _ceiled_t_counts(*problem, *np.array(points).T)
-    )
+    best_cost, (i,) = _first_minimum(t_counts(*np.array(points).T))
     if not best_cost < math.inf:
         raise _no_finite_budget(*problem)
     e1, e3 = points[i]
     for span in (30.0, 6.0, 1.6, 1.15, 1.03):
         grid1 = np.geomspace(e1 / span, min(e1 * span, epsilon_total), 17)
         grid3 = np.geomspace(e3 / span, min(e3 * span, epsilon_total), 17)
-        cost, (i, j) = _first_minimum(
-            _ceiled_t_counts(*problem, grid1[:, None], grid3)
-        )
+        cost, (i, j) = _first_minimum(t_counts(grid1[:, None], grid3))
         if cost < best_cost:
             best_cost, e1, e3 = cost, grid1[i], grid3[j]
     e1, e3 = float(e1), float(e3)
-    e2 = _e2_from_rule(epsilon_total, e1, e3, combination)
+    e2 = -_add_rule(-epsilon_total, e1, e3, combination)
     return ErrorBudget(epsilon_total, e1, e2, e3, combination)
 
 

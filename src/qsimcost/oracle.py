@@ -323,16 +323,11 @@ class TrotterExactReport:
     unitarity_defect: float
 
     def row(self):
-        """JSON-ready dict for tabulated bound-versus-exact reports."""
-        return {
-            "t": self.t,
-            "e_fci": self.e_fci,
-            "e_effective": self.e_effective,
-            "delta_e": self.delta_e,
-            "empirical_trotter_number": self.empirical_trotter_number,
-            "ground_overlap": self.ground_overlap,
-            "phase_wrapped": self.phase_wrapped,
-        }
+        """JSON-ready dict for tabulated bound-versus-exact reports: every
+        field but unitarity_defect."""
+        out = dict(vars(self))
+        del out["unitarity_defect"]
+        return out
 
 
 def _resolve_sector(terms, particle_sector):

@@ -581,68 +581,32 @@ def _scenario_dict(scenario):
 
 
 def logical_dict(report):
-    """JSON-ready form of a LogicalCostReport."""
-    budget = report.budget
-    out = {
-        "strategy": report.strategy,
-        "t_count": report.t_count,
-        "clifford_count": report.clifford_count,
-        "clifford_mode": report.clifford_mode,
-        "rotation_count": report.rotation_count,
-        "trotter_steps_per_unit_time": report.trotter_steps_per_unit_time,
-        "pe_repetitions": report.pe_repetitions,
-        "logical_qubits": report.logical_qubits,
-        "wall_time": report.wall_time,
-        "m_terms": report.m_terms,
-        "synthesis_bits": report.synthesis_bits,
-        "t_per_rotation": report.t_per_rotation,
-        "t_gate_time": report.t_gate_time,
-        "parallelism": report.parallelism,
-        "budget": {
-            "epsilon_total": budget.epsilon_total,
-            "epsilon1_pe": budget.epsilon1_pe,
-            "epsilon2_trotter": budget.epsilon2_trotter,
-            "epsilon3_synth": budget.epsilon3_synth,
-            "combination": budget.combination,
-        },
-        "pe_model": {"name": report.pe.name, "alpha": report.pe.alpha},
-        "synthesis_model": {
-            "name": report.synthesis.name,
-            "gamma": report.synthesis.gamma,
-            "delta": report.synthesis.delta,
-        },
-    }
-    if report.par_params is not None:
-        out["par_params"] = {
-            "n_levels": report.par_params.n_levels,
-            "rotations_cached": report.par_params.rotations_cached,
-            "synthesis_cost": report.par_params.synthesis_cost,
-        }
+    """JSON-ready form of a LogicalCostReport: its fields, with the budget
+    and the models as dicts of their own fields, pe and synthesis renamed
+    pe_model and synthesis_model, and par_params kept only when set."""
+    out = dict(vars(report))
+    out["budget"] = dict(vars(report.budget))
+    out["pe_model"] = dict(vars(out.pop("pe")))
+    out["synthesis_model"] = dict(vars(out.pop("synthesis")))
+    if report.par_params is None:
+        del out["par_params"]
+    else:
+        out["par_params"] = dict(vars(report.par_params))
     return out
 
 
 def physical_dict(report):
-    """JSON-ready form of a PhysicalCostReport."""
-    return {
-        "code_distances": list(report.code_distances),
-        "qubits_per_logical": report.qubits_per_logical,
-        "processor_logical_qubits": report.processor_logical_qubits,
-        "processor_qubits": report.processor_qubits,
-        "rotation_factory_count": report.rotation_factory_count,
-        "rotation_factory_qubits": report.rotation_factory_qubits,
-        "t_factory_count": report.t_factory_count,
-        "qubits_per_t_factory": report.qubits_per_t_factory,
-        "t_factory_qubits": report.t_factory_qubits,
-        "total_physical_qubits": report.total_physical_qubits,
-        "distillation_rounds": report.distillation_rounds,
-        "distillation_distances": list(report.distillation_distances),
-        "processor_code_distance": report.processor_code_distance,
-        "per_t_error_target": report.per_t_error_target,
-        "per_operation_error_target": report.per_operation_error_target,
-        "t_rate": report.t_rate,
-        "p_clifford": report.params.p_clifford,
-        "p_inject": report.params.injected_error,
-    }
+    """JSON-ready form of a PhysicalCostReport: its fields, distance tuples
+    as lists, and params as its p_clifford and injected_error (p_inject)."""
+    out = dict(vars(report))
+    params = out.pop("params")
+    out.update(
+        code_distances=list(report.code_distances),
+        distillation_distances=list(report.distillation_distances),
+        p_clifford=params.p_clifford,
+        p_inject=params.injected_error,
+    )
+    return out
 
 
 def _bundle_dict(bundle):

@@ -193,7 +193,6 @@ def _stratified(arrays, samples_per_stratum, seed):
     whose row-wise mean and variance are each stratum's; an enumerated
     stratum sums its triples left to right.
     """
-    n = samples_per_stratum
     sizes = np.bincount(arrays.class_code, minlength=len(TERM_CLASSES))
     members = np.argsort(arrays.class_code, kind="stable")
     first = np.cumsum(sizes) - sizes
@@ -201,10 +200,21 @@ def _stratified(arrays, samples_per_stratum, seed):
     keys = np.array(list(itertools.product(np.flatnonzero(sizes), repeat=3))).T
     span = sizes[keys]
     cube = span.prod(axis=0, dtype=float)
+    # a budget past the largest stratum enumerates every stratum either way
+    n = min(samples_per_stratum, int(cube.max()))
     sampled = cube > n
-    draws = np.random.Generator(np.random.Philox(seed)).integers(
-        0, span[:, sampled, None], (3, sampled.sum(), n), dtype=np.intp
-    )
+    shape = (3, int(sampled.sum()), n)
+    try:
+        draws = np.random.Generator(np.random.Philox(seed)).integers(
+            0, span[:, sampled, None], shape, dtype=np.intp
+        )
+    except (MemoryError, ValueError):  # numpy: "array is too big"
+        gib = math.prod(shape) * np.intp(0).nbytes / 2**30
+        raise ValueError(
+            f"a stratified budget of {samples_per_stratum} samples per "
+            f"stratum asks for {gib:,.1f} GiB of draws over {shape[1]} "
+            "sampled strata, more than can be allocated"
+        ) from None
     draws += first[keys[:, sampled, None]]
     # enumerated strata in meshgrid "ij" order: c fastest, then b, then a
     cells = cube[~sampled].astype(np.intp)

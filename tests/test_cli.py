@@ -86,6 +86,34 @@ def test_unallocatable_norb_is_named_on_line_1(tmp_path, capsys, monkeypatch,
                    "integral tables, more than can be allocated\n")
 
 
+@pytest.mark.parametrize("refusal", [
+    MemoryError("Unable to allocate 22.4 GiB for an array"),
+    ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger "
+               "than the maximum possible size."),
+], ids=["memory", "too-big"])
+def test_unallocatable_stratified_budget_exits_2(capsys, monkeypatch, refusal):
+    # 10^8 draws in each of H8's 10 strata over 10^8 triples need 22.4 GiB
+    # of int64 positions; the stand-in generator refuses every draw, so no
+    # test asks the system for the memory
+    class RefusingGenerator:
+        def __init__(self, bit_generator):
+            pass
+
+        def integers(self, *args, **kwargs):
+            raise refusal
+
+    monkeypatch.setattr(np.random, "Generator", RefusingGenerator)
+    code, out, err = run(
+        capsys, "trotter-bound", "--fcidump", H8, "--method", "stratified",
+        "--samples-per-class", "100000000",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == ("error: a stratified budget of 100000000 samples per "
+                   "stratum asks for 22.4 GiB of draws over 10 sampled "
+                   "strata, more than can be allocated\n")
+
+
 def test_trotter_bound_exhaustive(capsys):
     data = run_json(capsys, "trotter-bound", "--fcidump", H2)
     assert data["method"] == "exhaustive"

@@ -25,7 +25,8 @@ from qsimcost import (
 from qsimcost.costs import (
     _PE_PRESETS,
     _SYNTHESIS_PRESETS,
-    _ceiled_t_counts,
+    _add_rule,
+    _t_counts,
     approx_optimal_budget,
 )
 
@@ -284,8 +285,8 @@ def _t_count_or_inf(m, eps, e1, e3, beta, pe, syn, combination):
 ])
 def test_ceiled_t_counts_match_evaluate_cost(combination, m, eps, beta):
     grid = np.geomspace(eps * 1e-6, eps, 41)
-    got = _ceiled_t_counts(m, eps, beta, PE, SYN, combination, grid[:, None],
-                           grid)
+    e2 = -_add_rule(-eps, grid[:, None], grid, combination)
+    got = _t_counts(m, eps, beta, PE, SYN, grid[:, None], e2, grid)[3]
     infeasible = 0
     for (i, j), value in np.ndenumerate(got):
         want = _t_count_or_inf(m, eps, float(grid[i]), float(grid[j]), beta,
@@ -296,6 +297,82 @@ def test_ceiled_t_counts_match_evaluate_cost(combination, m, eps, beta):
         else:
             assert value == pytest.approx(want, rel=1e-15, abs=0)
     assert 0 < infeasible < got.size
+
+
+def test_smooth_and_ceiled_kernel_agree_where_every_ceiling_is_exact():
+    # binary-clean shares: eps/e2 = 4^k and alpha/e1 = 2^j, so both ceilings
+    # act on integers and the smooth and ceiled formulas do the same arithmetic
+    eps, beta = 2.0**-10, 137.0
+    e1 = PE.alpha * 2.0 ** -np.arange(11, 16)[:, None, None]
+    e2 = eps * 4.0 ** -np.arange(1, 4)[:, None]
+    e3 = 2.0 ** -np.arange(12, 20)
+    smooth = _t_counts(1e4, eps, beta, PE, SYN, e1, e2, e3, ceil=False)
+    ceiled = _t_counts(1e4, eps, beta, PE, SYN, e1, e2, e3)
+    for a, b in zip(smooth, ceiled):
+        np.testing.assert_array_equal(a, b)
+    assert np.isfinite(ceiled[3]).all()
+    assert evaluate_cost_smooth(1e4, e1, e2, e3, eps, beta, PE, SYN) \
+        == pytest.approx(ceiled[3], rel=1e-15, abs=0)
+
+
+def _seeded_budgets(seed, combination, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = float(10 ** rng.uniform(2.0, 10.0))
+        eps = float(10 ** rng.uniform(-8.0, -1.0))
+        beta = float(10 ** rng.uniform(0.0, 6.0))
+        e1, _, e3 = (float(eps * share) for share in rng.dirichlet((1, 1, 1)))
+        e2 = -_add_rule(-eps, e1, e3, combination)
+        yield m, ErrorBudget(eps, e1, e2, e3, combination), beta
+
+
+@pytest.mark.parametrize("combination", ["worst_case", "variance"])
+def test_evaluate_cost_matches_ceiled_kernel(combination):
+    for m, budget, beta in _seeded_budgets(31, combination, 200):
+        report = evaluate_cost(m, budget, beta, PE, SYN)
+        steps, pe_reps, log_arg, t_count = _t_counts(
+            m, budget.epsilon_total, beta, PE, SYN, budget.epsilon1_pe,
+            budget.epsilon2_trotter, budget.epsilon3_synth,
+        )
+        assert report.trotter_steps_per_unit_time == steps
+        assert report.pe_repetitions == pe_reps
+        assert report.synthesis_bits == math.log2(log_arg)
+        assert report.t_count == pytest.approx(float(t_count), rel=1e-15,
+                                               abs=0)
+
+
+@pytest.mark.parametrize("combination", ["worst_case", "variance"])
+def test_saturated_budget_combines_to_its_total(combination):
+    for _, budget, _ in _seeded_budgets(32, combination, 500):
+        eps = budget.epsilon_total
+        assert abs(budget.combined() - eps) <= math.ulp(eps)
+
+
+def test_scalar_rule_and_bits_use_math_not_numpy():
+    # numpy's SIMD hypot and log2 can round differently from math's in the
+    # last bit; the points where they do on this build must still print
+    # math's value, so the printed numbers do not depend on the CPU
+    rng = np.random.default_rng(33)
+    e1, e3 = 10 ** rng.uniform(-9.0, -1.0, (2, 100_000))
+    want = [math.hypot(a, b) for a, b in zip(e1.tolist(), e3.tolist())]
+    differ = np.flatnonzero(np.hypot(e1, e3) != want)
+    for i in [*differ, *range(20)]:
+        got = _add_rule(0.0, float(e1[i]), float(e3[i]), "variance")
+        assert type(got) is float and got == want[i]
+
+    m = 10 ** rng.uniform(2.0, 10.0, 200_000)
+    eps = 10 ** rng.uniform(-8.0, -1.0, m.size)
+    beta = 10 ** rng.uniform(0.0, 6.0, m.size)
+    e1, e3 = eps * rng.dirichlet((1, 1, 1), m.size).T[[0, 2]]
+    e2 = eps - e1 - e3
+    log_arg = _t_counts(m, eps, beta, PE, SYN, e1, e2, e3)[2]
+    want = [math.log2(x) for x in log_arg.tolist()]
+    differ = np.flatnonzero(np.log2(log_arg) != want)
+    for i in [*differ, *range(20)]:
+        budget = worst_budget(float(eps[i]), float(e1[i]), float(e2[i]),
+                              float(e3[i]))
+        report = evaluate_cost(float(m[i]), budget, float(beta[i]), PE, SYN)
+        assert report.synthesis_bits == want[i]
 
 
 def _budget_or_message(optimizer, *args):

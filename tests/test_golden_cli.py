@@ -3,8 +3,8 @@
 Each case pins stdout, stderr and the exit code of one invocation. The
 report cases cover the logical and fault-tolerance tables and the
 published-T-count comparison on stderr; the logical cases cover every
-strategy's markdown row. Refresh the capture, only after a deliberate
-output change, from the repository root:
+strategy's markdown row and its full JSON report. Refresh the capture,
+only after a deliberate output change, from the repository root:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -21,8 +21,13 @@ from qsimcost.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "cli_golden.json"
 LOGICAL = (
     "logical", "--m", "6.1e6", "--beta", "166", "--epsilon", "1e-4",
-    "--n-spin-orbitals", "108", "--format", "markdown",
+    "--n-spin-orbitals", "108",
 )
+STRATEGIES = {
+    "serial": ("--strategy", "serial"),
+    "nesting": ("--strategy", "nesting", "--parallelism", "26"),
+    "par": ("--strategy", "par"),
+}
 REPORT = ("report", "--structure", "struct-1", "--error-rates", "1e-3", "1e-6")
 CASES = {
     "report-json": REPORT + ("--format", "json"),
@@ -31,9 +36,11 @@ CASES = {
     "physical-topological": (
         "physical", "--p", "1e-4", "--scenario", "topological",
     ),
-    "logical-serial": LOGICAL + ("--strategy", "serial"),
-    "logical-nesting": LOGICAL + ("--strategy", "nesting", "--parallelism", "26"),
-    "logical-par": LOGICAL + ("--strategy", "par"),
+    **{
+        f"logical-{name}{suffix}": LOGICAL + ("--format", form) + flags
+        for name, flags in STRATEGIES.items()
+        for form, suffix in (("markdown", ""), ("json", "-json"))
+    },
 }
 
 

@@ -411,6 +411,20 @@ def test_stratified_is_exact_when_budget_covers_all_strata():
     assert stratified.samples == 0
 
 
+def test_budget_past_every_stratum_is_capped_at_the_largest():
+    # 2^63 and 10^30 overflow numpy's intp shape; H2's largest stratum has
+    # at most 12^3 triples, so every such budget enumerates every stratum
+    terms = molecule_terms("h2_sto3g")
+    want = estimate_error_constant(
+        terms, method="stratified", samples_per_stratum=12**3, seed=0
+    )
+    for budget in (2**63, 10**30):
+        got = estimate_error_constant(
+            terms, method="stratified", samples_per_stratum=budget, seed=0
+        )
+        assert repr(got) == repr(want)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_stratified_estimate_within_three_sigma(seed):
     terms = molecule_terms("h4_chain")
